@@ -56,8 +56,14 @@ func (req Request) Key() string {
 // remote workers (cmd/sweepd), which is what makes distributed results
 // bit-identical to local ones: every side runs exactly this function.
 func Execute(req Request) (*uarch.Stats, error) {
+	return execute(req, nil)
+}
+
+// execute is Execute with an optional plan cache for sampled requests;
+// a nil cache builds every plan afresh.
+func execute(req Request, plans *planCache) (*uarch.Stats, error) {
 	if req.Sample != nil {
-		return executeSampled(req)
+		return executeSampled(req, plans)
 	}
 	stream, err := newStream(req)
 	if err != nil {
@@ -67,7 +73,7 @@ func Execute(req Request) (*uarch.Stats, error) {
 }
 
 // newStream builds the request's instruction stream. Streams are
-// single-use; executeSampled calls this twice (profiling pass, then
+// single-use; a sampled request calls this twice (profiling pass, then
 // simulation pass) and both see identical instructions — the workloads
 // are seeded and deterministic.
 func newStream(req Request) (trace.Stream, error) {
@@ -87,10 +93,12 @@ func newStream(req Request) (trace.Stream, error) {
 // executeSampled runs the sampled-simulation path: a fast functional
 // pass profiles the stream into interval signatures, phase detection
 // picks representative windows, and uarch.RunSampled simulates only
-// those windows in detail, extrapolating whole-run Stats. Streams too
-// short to sample fall back to the full simulation (the returned Stats
-// then carries a nil Sampled marker, which is how callers tell).
-func executeSampled(req Request) (*uarch.Stats, error) {
+// those windows in detail, extrapolating whole-run Stats. The profile
+// and plan come from plans when it already holds the request's plan
+// key. Streams too short to sample fall back to the full simulation
+// (the returned Stats then carries a nil Sampled marker, which is how
+// callers tell).
+func executeSampled(req Request, plans *planCache) (*uarch.Stats, error) {
 	if err := req.Sample.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,22 +110,20 @@ func executeSampled(req Request) (*uarch.Stats, error) {
 	if req.Config.MaxInsts != 0 {
 		return nil, fmt.Errorf("sampled request: Config.MaxInsts must be zero (Budget bounds the stream), got %d", req.Config.MaxInsts)
 	}
-	profStream, err := newStream(req)
-	if err != nil {
-		return nil, err
+	sp := plans.get(planKeyOf(req), func() samplePlan { return buildPlan(req) })
+	if sp.err != nil {
+		return nil, sp.err
 	}
-	prof := uarch.ProfileForSampling(req.Config, profStream, req.Sample.IntervalInsts)
-	plan, ok := sample.BuildPlan(prof, *req.Sample)
-	if !ok {
+	if !sp.ok {
 		full := req
 		full.Sample = nil
 		return Execute(full)
 	}
-	windows := make([]uarch.SampleWindow, len(plan.Windows))
-	for i, w := range plan.Windows {
+	windows := make([]uarch.SampleWindow, len(sp.plan.Windows))
+	for i, w := range sp.plan.Windows {
 		windows[i] = uarch.SampleWindow{
 			Start:   w.Start,
-			Warmup:  plan.Spec.WarmupInsts,
+			Warmup:  sp.plan.Spec.WarmupInsts,
 			Measure: w.Insts,
 			Weight:  w.Weight,
 			Phase:   w.Phase,
@@ -127,7 +133,19 @@ func executeSampled(req Request) (*uarch.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return uarch.RunSampled(req.Config, simStream, windows, prof.Total), nil
+	return uarch.RunSampled(req.Config, simStream, windows, sp.plan.TotalInsts), nil
+}
+
+// buildPlan profiles the request's stream and clusters it into a window
+// plan: the part of a sampled run that depends only on the plan key.
+func buildPlan(req Request) samplePlan {
+	stream, err := newStream(req)
+	if err != nil {
+		return samplePlan{err: err}
+	}
+	prof := uarch.ProfileForSampling(req.Config, stream, req.Sample.IntervalInsts)
+	plan, ok := sample.BuildPlan(prof, *req.Sample)
+	return samplePlan{plan: plan, ok: ok}
 }
 
 // Backend is the execution seam of the sweep engine: it turns one
@@ -183,7 +201,10 @@ type LocalBackend struct{}
 
 // Execute implements Backend. A ctx already done before the simulation
 // starts fails fast; once started, the run completes — local
-// simulations are finite and a completed result is never wrong.
+// simulations are finite and a completed result is never wrong. A
+// Runner's ctx carries its plan cache, so the sampled requests of one
+// sweep share each profile and plan; any other ctx builds them per
+// request.
 func (LocalBackend) Execute(ctx context.Context, req Request, obs Observer) (*uarch.Stats, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -193,7 +214,7 @@ func (LocalBackend) Execute(ctx context.Context, req Request, obs Observer) (*ua
 	if obs != nil {
 		obs.RunStarted(req.Bench, req.Label(), req.Budget)
 	}
-	st, err := Execute(req)
+	st, err := execute(req, planCacheFrom(ctx))
 	if err != nil {
 		return nil, err
 	}

@@ -127,15 +127,17 @@ func (o Options) backend() Backend {
 // Runner executes simulations with memoisation, so experiments that share
 // a configuration (every figure needs the base machine) run it once —
 // including when they ask concurrently: the first request simulates, every
-// later one waits for the same entry (singleflight). Methods are safe for
-// concurrent use.
+// later one waits for the same entry (singleflight). Sampled requests
+// likewise share each profile and window plan (see planKey). Methods are
+// safe for concurrent use.
 type Runner struct {
 	opts    Options
 	backend Backend
 	sem     chan struct{} // bounds simulations in flight
 
 	mu    sync.Mutex
-	cache map[runKey]*inflight
+	cache map[runKey]*inflight[*uarch.Stats]
+	plans *planCache // shared by the sweep's sampled requests
 
 	sims      atomic.Uint64 // simulations actually executed
 	hits      atomic.Uint64 // requests served from the memo (or by waiting)
@@ -152,24 +154,24 @@ type runKey struct {
 	sample  sample.Spec
 }
 
-// inflight is one memo entry: done closes when st is valid, so duplicate
-// requests block on the leader instead of simulating again. If the
+// inflight is one memo entry: done closes when v is valid, so duplicate
+// requests block on the leader instead of computing again. If the
 // leader panicked (unknown benchmark, bad kernel), panicv carries the
-// value so waiters re-raise it instead of reading a nil result.
-type inflight struct {
+// value so waiters re-raise it instead of reading a zero result.
+type inflight[T any] struct {
 	done   chan struct{}
-	st     *uarch.Stats
+	v      T
 	panicv any
 }
 
-// mustJoin waits for the in-flight simulation and returns its result,
+// mustJoin waits for the in-flight computation and returns its result,
 // re-raising the leader's panic on this goroutine if it had one.
-func (e *inflight) mustJoin() *uarch.Stats {
+func (e *inflight[T]) mustJoin() T {
 	<-e.done
 	if e.panicv != nil {
 		panic(e.panicv)
 	}
-	return e.st
+	return e.v
 }
 
 // panicBox carries the first panic raised inside a fan-out's worker
@@ -202,7 +204,8 @@ func NewRunner(opts Options) *Runner {
 		opts:    opts,
 		backend: opts.backend(),
 		sem:     make(chan struct{}, opts.parallel()),
-		cache:   make(map[runKey]*inflight),
+		cache:   make(map[runKey]*inflight[*uarch.Stats]),
+		plans:   newPlanCache(),
 	}
 }
 
@@ -261,7 +264,7 @@ func (r *Runner) Run(bench string, width int, mutate func(*uarch.Config)) *uarch
 		r.hits.Add(1)
 		return st
 	}
-	e := &inflight{done: make(chan struct{})}
+	e := &inflight[*uarch.Stats]{done: make(chan struct{})}
 	r.cache[key] = e
 	r.mu.Unlock()
 
@@ -281,7 +284,7 @@ func (r *Runner) Run(bench string, width int, mutate func(*uarch.Config)) *uarch
 			}
 			NotifyCached(obs, bench, req.Label(), budget)
 			r.storeHits.Add(1)
-			e.st = st
+			e.v = st
 			close(e.done)
 			return st
 		}
@@ -302,10 +305,11 @@ func (r *Runner) Run(bench string, width int, mutate func(*uarch.Config)) *uarch
 		// The backend fires the started/finished observer events: the
 		// local backend around the in-process simulation, the
 		// distributed one when its worker streams them back.
+		ctx := withPlanCache(context.Background(), r.plans)
 		if r.opts.Store == nil {
-			st, err := r.backend.Execute(context.Background(), req, obs)
+			st, err := r.backend.Execute(ctx, req, obs)
 			mustf(err == nil, "experiments: %v", err)
-			e.st = st
+			e.v = st
 			r.sims.Add(1)
 			return
 		}
@@ -314,10 +318,10 @@ func (r *Runner) Run(bench string, width int, mutate func(*uarch.Config)) *uarch
 		// sweeps sharing the cache directory; everyone else is served
 		// the winner's checkpointed result.
 		st, cached, err := r.opts.Store.GetOrCompute(req.Key(), func() (*uarch.Stats, error) {
-			return r.backend.Execute(context.Background(), req, obs)
+			return r.backend.Execute(ctx, req, obs)
 		})
 		mustf(err == nil, "experiments: %v", err)
-		e.st = st
+		e.v = st
 		if cached {
 			NotifyCached(obs, bench, req.Label(), budget)
 			r.storeHits.Add(1)

@@ -6,7 +6,10 @@
 #      budgets leave few intervals per workload, so the tolerance here
 #      is loose; the <1% validation lives in the experiments tests),
 #   3. two identical sampled runs to be byte-identical — the sampled
-#      path must be exactly as deterministic as the full one.
+#      path must be exactly as deterministic as the full one,
+#   4. a serial (-j 1) sampled run to be byte-identical to them: the
+#      sweep's shared plan cache must not make results depend on which
+#      request builds a plan first.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,6 +39,15 @@ if ! cmp "$tmp/s1.txt" "$tmp/s2.txt"; then
   exit 1
 fi
 
+echo "sample-smoke: sampled sweep at -j 1" >&2
+"$tmp/figures" "${sampled_flags[@]}" -j 1 > "$tmp/serial.txt"
+
+if ! cmp "$tmp/s1.txt" "$tmp/serial.txt"; then
+  echo "sample-smoke: FAIL — sampled runs at -j 4 and -j 1 differ" >&2
+  diff "$tmp/s1.txt" "$tmp/serial.txt" | head -20 >&2 || true
+  exit 1
+fi
+
 if ! grep -q "ci95-4w" "$tmp/s1.txt"; then
   echo "sample-smoke: FAIL — sampled t2 lacks the ci95 error-bar columns" >&2
   exit 1
@@ -61,4 +73,4 @@ awk -v tol="$tol_bench" -v tolmean="$tol_mean" '
   }
 ' "$tmp/full.txt" "$tmp/s1.txt" >&2
 
-echo "sample-smoke: ok — sampled t2 deterministic and near the full-detail sweep" >&2
+echo "sample-smoke: ok — sampled t2 deterministic at -j 4 and -j 1, and near the full-detail sweep" >&2
