@@ -16,9 +16,13 @@ race:
 
 # lint runs the repo's own static-analysis suite — all nine analyzers
 # (go run ./cmd/hpvet -list) plus stale //hp:nolint detection — and go
-# vet. It exits non-zero on any finding.
+# vet, over the main module and over the benchmark harness in
+# _perfbench (a separate module that `go build ./...` skips, so an API
+# change that breaks it would otherwise go unnoticed). It exits
+# non-zero on any finding.
 lint:
 	$(GO) vet ./...
+	$(GO) vet -C _perfbench ./...
 	$(GO) run ./cmd/hpvet
 
 fmt:

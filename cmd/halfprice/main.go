@@ -128,83 +128,62 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Hot-spot runs bypass the result store: the Stats could be served
-	// from disk, but the per-PC report they exist for cannot.
-	cache := store.FromFlags(*cacheDir, *noCache)
+	// Hot-spot runs bypass the result store and the fleet: the Stats
+	// could be served from either, but the per-PC report they exist for
+	// cannot.
 	if *hot > 0 {
-		cache = nil
-	}
-
-	if dflags.Enabled() && *hot == 0 {
-		st := runDistributed(tracker, cache, cfg, *bench, *insts+*warmup, *kernel, dflags)
+		if dflags.Enabled() {
+			fmt.Fprintln(os.Stderr, "halfprice: -hot profiles locally; ignoring -workers/-registry")
+		}
+		var hotReport string
+		st := observe(tracker, *bench, cfg, *insts+*warmup, func() *halfprice.Stats {
+			st, report, err := halfprice.SimulateHot(cfg, *bench, *insts+*warmup, *kernel, *hot)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "halfprice:", err)
+				os.Exit(1)
+			}
+			hotReport = report
+			return st
+		})
 		printStats(*bench, cfg, st)
-		return
-	}
-	if dflags.Enabled() {
-		fmt.Fprintln(os.Stderr, "halfprice: -hot profiles locally; ignoring -workers/-registry")
-	}
-	if cache != nil {
-		printStats(*bench, cfg, runCached(tracker, cache, cfg, *bench, *insts+*warmup, *kernel))
-		return
-	}
-	var hotReport string
-	st := observe(tracker, *bench, cfg, *insts+*warmup, func() *halfprice.Stats {
-		var st *halfprice.Stats
-		st, hotReport = simulate(cfg, *bench, *insts+*warmup, *kernel, *hot)
-		return st
-	})
-	printStats(*bench, cfg, st)
-	if hotReport != "" {
 		fmt.Print(hotReport)
+		return
 	}
+	printStats(*bench, cfg, run(tracker, store.FromFlags(*cacheDir, *noCache), cfg, *bench, *insts+*warmup, *kernel, dflags))
 }
 
-// runCached executes the single plain simulation through the durable
-// result store: a previous identical run — by this command or any sweep
-// sharing the cache directory — is served from disk as a cache hit, and
-// a fresh run is checkpointed for the next one.
-func runCached(tr *progress.Tracker, cache *store.Store, cfg halfprice.Config, bench string, budget uint64, kernel bool) *halfprice.Stats {
+// run executes the single plain simulation through a result tier over
+// the durable store (cache may be nil): a previous identical run — by
+// this command or any sweep sharing the cache directory — is served
+// from disk as a cache hit, and a fresh run is checkpointed for the
+// next one. With -workers or -registry the fresh run goes to the fleet,
+// which degrades to local execution when no worker is reachable.
+func run(tr *progress.Tracker, cache *store.Store, cfg halfprice.Config, bench string, budget uint64, kernel bool, dflags *dist.Flags) *halfprice.Stats {
+	coord, closeCoord, err := dflags.Coordinator()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "halfprice:", err)
+		os.Exit(2)
+	}
+	defer closeCoord()
+	var backend experiments.Backend = experiments.LocalBackend{}
+	if coord != nil {
+		backend = coord
+	}
 	req := experiments.Request{Bench: bench, Config: cfg, Budget: budget, UseKernels: kernel}
 	var obs experiments.Observer
 	if tr != nil {
 		obs = tr
 		tr.RunQueued(bench, req.Label(), budget)
 	}
-	st, cached, err := cache.GetOrCompute(req.Key(), func() (*halfprice.Stats, error) {
-		return experiments.LocalBackend{}.Execute(context.Background(), req, obs)
+	st, src, err := store.NewTier(cache, 0).Do(req.Key(), func() (*halfprice.Stats, error) {
+		return backend.Execute(context.Background(), req, obs)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "halfprice:", err)
 		os.Exit(1)
 	}
-	if cached {
+	if src == store.Disk {
 		experiments.NotifyCached(obs, bench, req.Label(), budget)
-	}
-	return st
-}
-
-// runDistributed dispatches the single simulation to the sweepd fleet
-// through the same coordinator backend the sweep commands use; the
-// coordinator degrades to local execution when no worker is reachable
-// and, when a result store is wired, serves and checkpoints results
-// through it.
-func runDistributed(tracker *progress.Tracker, cache *store.Store, cfg halfprice.Config, bench string, budget uint64, kernel bool, dflags *dist.Flags) *halfprice.Stats {
-	coord, closeCoord, err := dflags.Coordinator(cache)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "halfprice:", err)
-		os.Exit(2)
-	}
-	defer closeCoord()
-	req := experiments.Request{Bench: bench, Config: cfg, Budget: budget, UseKernels: kernel}
-	var obs experiments.Observer
-	if tracker != nil {
-		obs = tracker
-		tracker.RunQueued(bench, req.Label(), budget)
-	}
-	st, err := coord.Execute(context.Background(), req, obs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "halfprice:", err)
-		os.Exit(1)
 	}
 	return st
 }
@@ -221,27 +200,6 @@ func observe(tr *progress.Tracker, bench string, cfg halfprice.Config, insts uin
 	st := run()
 	tr.RunFinished(bench, label, insts)
 	return st
-}
-
-// simulate runs the chosen workload, optionally with hot-spot profiling.
-func simulate(cfg halfprice.Config, bench string, insts uint64, kernel bool, hotN int) (*halfprice.Stats, string) {
-	if hotN <= 0 {
-		if kernel {
-			return halfprice.SimulateKernel(cfg, bench, insts), ""
-		}
-		st, err := halfprice.Simulate(cfg, bench, insts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "halfprice:", err)
-			os.Exit(1)
-		}
-		return st, ""
-	}
-	st, report, err := halfprice.SimulateHot(cfg, bench, insts, kernel, hotN)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "halfprice:", err)
-		os.Exit(1)
-	}
-	return st, report
 }
 
 func buildConfig(width int, wakeup, regfile, recovery, pred string, predEntries int) (halfprice.Config, error) {

@@ -96,7 +96,7 @@ func main() {
 
 	st := store.FromFlags(*cacheDir, *noCache)
 	if st == nil {
-		logf("hpserve: result store disabled; every job will dispatch")
+		logf("hpserve: result store disabled; results are shared from memory only")
 	}
 
 	opts := serve.Options{
@@ -110,10 +110,9 @@ func main() {
 		Tenants:     tenants,
 		Logf:        logf,
 	}
-	// The coordinator gets no store of its own: the serve layer already
-	// wraps every dispatch in the store, so wiring it twice would
-	// double-check the cache on each run.
-	coord, closeCoord, err := fleet.Coordinator(nil)
+	// The serve layer wraps every dispatch in its result tier; the
+	// coordinator only dispatches.
+	coord, closeCoord, err := fleet.Coordinator()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hpserve:", err)
 		os.Exit(1)

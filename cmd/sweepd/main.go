@@ -12,7 +12,6 @@
 //
 //	-addr host:port  listen address (default localhost:9771)
 //	-j n             max concurrent simulations (default GOMAXPROCS)
-//	-memo-cap n      completed results kept in the memo cache (default 512)
 //	-token s         require "Authorization: Bearer s" on /run and /drain
 //	                 (default $HALFPRICE_TOKEN; empty = no auth)
 //	-tls-cert f      PEM certificate; with -tls-key, serve HTTPS
@@ -30,10 +29,9 @@
 // Simulations run through exactly the same in-process path as a local
 // sweep, so results are bit-identical to local execution. Repeated or
 // concurrent requests for the same simulation are deduplicated
-// (singleflight) and memoised, with the memo bounded to -memo-cap
-// completed results. SIGINT/SIGTERM drains the daemon: it leaves the
-// registry, stops accepting requests, finishes in-flight runs, then
-// exits.
+// (singleflight) and memoised, keeping the 512 most recently completed
+// results. SIGINT/SIGTERM drains the daemon: it leaves the registry,
+// stops accepting requests, finishes in-flight runs, then exits.
 package main
 
 import (
@@ -58,7 +56,6 @@ import (
 func main() {
 	addr := flag.String("addr", "localhost:9771", "listen address (host:port)")
 	par := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations")
-	memoCap := flag.Int("memo-cap", 0, "completed results kept in the memo cache (0 = default 512)")
 	token := flag.String("token", os.Getenv(dist.TokenEnv), "shared auth token required on /run and /drain (default $"+dist.TokenEnv+"; empty = no auth)")
 	tlsCert := flag.String("tls-cert", "", "PEM certificate file; with -tls-key, serve HTTPS")
 	tlsKey := flag.String("tls-key", "", "PEM private key file")
@@ -99,7 +96,7 @@ func main() {
 		logf("sweepd: chaos pre-run delays on (seed %d, max %s)", *chaosSeed, *chaosMaxDelay)
 	}
 
-	server := dist.NewServer(dist.ServerOptions{Parallel: *par, MemoCap: *memoCap, Token: *token, PreRun: preRun, Logf: logf})
+	server := dist.NewServer(dist.ServerOptions{Parallel: *par, Token: *token, PreRun: preRun, Logf: logf})
 	httpSrv := &http.Server{Addr: *addr, Handler: server.Handler()}
 
 	// Self-announce in the registry before serving; deregister exactly

@@ -73,8 +73,10 @@ type (
 	// Options configures the experiment harness (instruction budget,
 	// benchmark subset, worker-pool size, progress observer).
 	Options = experiments.Options
-	// Runner executes experiments over a bounded worker pool with
-	// memoised, deduplicated simulations.
+	// Runner executes experiments over a bounded worker pool. Each
+	// simulation goes through one result chain — memory, then the
+	// ResultStore when Options.Store sets one, then the Backend — so
+	// concurrent and repeated requests simulate once.
 	Runner = experiments.Runner
 	// Observer receives per-simulation progress events from a Runner;
 	// internal/progress provides the standard implementation behind the
@@ -92,10 +94,10 @@ type (
 	// Request is one serialized simulation request — the unit of work a
 	// Backend executes, and the wire format of the sweepd worker API.
 	Request = experiments.Request
-	// ResultStore is the durable on-disk result tier behind the
-	// commands' -cache-dir/-no-cache flags (Options.Store): completed
-	// simulations checkpoint to disk and a restarted sweep resumes from
-	// there instead of recomputing.
+	// ResultStore is the durable on-disk layer of the Runner's result
+	// chain, behind the commands' -cache-dir/-no-cache flags
+	// (Options.Store): completed simulations checkpoint to disk and a
+	// restarted sweep resumes from there instead of recomputing.
 	ResultStore = store.Store
 )
 

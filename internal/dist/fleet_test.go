@@ -100,6 +100,33 @@ func TestRegistryEndpoint(t *testing.T) {
 	}
 }
 
+// TestRegistryEndpointBadListing: a listing cut short mid-body, or one
+// over the 1 MiB bound, is an error — never a partial fleet with a bogus
+// last address and every worker past the cut evicted.
+func TestRegistryEndpointBadListing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		handler http.HandlerFunc
+	}{
+		{"truncated", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", "1000")
+			fmt.Fprint(w, "a:1\nb:2\nc:")
+		}},
+		{"oversize", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, strings.Repeat("a:1\n", 1<<18+1))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ep := httptest.NewServer(tc.handler)
+			defer ep.Close()
+			addrs, err := NewRegistry(ep.URL).Addrs()
+			if err == nil {
+				t.Fatalf("Addrs = %v with a nil error, want an error", addrs)
+			}
+		})
+	}
+}
+
 // TestRegistryChurn is the fleet-churn acceptance test: a worker
 // joining mid-sweep through the registry picks up work, a deregistered
 // worker is drained out of dispatch, and every result stays
@@ -301,7 +328,6 @@ func TestTLSWorker(t *testing.T) {
 
 func TestLoadAwarePick(t *testing.T) {
 	p := &pool{
-		loadThreshold:   defaultLoadThreshold,
 		clock:           chaos.System(),
 		breakerCooldown: time.Hour, // an opened breaker stays open for the test
 		logf:            t.Logf,
@@ -347,46 +373,6 @@ func TestLoadAwarePick(t *testing.T) {
 }
 
 // --- sweepd lifecycle fixes ---
-
-// TestMemoBounded is the regression test for the unbounded memo leak: a
-// daemon serving many distinct requests keeps at most MemoCap completed
-// results, evicted oldest-first, while resident entries still dedup.
-func TestMemoBounded(t *testing.T) {
-	srv := NewServer(ServerOptions{Parallel: 2, MemoCap: 3})
-	req := func(budget uint64) experiments.Request {
-		return experiments.Request{Bench: "gzip", Config: testConfig(), Budget: budget}
-	}
-	const runs = 10
-	for i := 0; i < runs; i++ {
-		if _, err := srv.execute(req(1000 + uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.memoLen(); got != 3 {
-		t.Fatalf("memo holds %d entries after %d distinct runs, want cap 3", got, runs)
-	}
-	if got := srv.sims.Load(); got != runs {
-		t.Fatalf("executed %d simulations, want %d", got, runs)
-	}
-
-	// A resident key joins the memo without re-simulating...
-	if _, err := srv.execute(req(1000 + runs - 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.sims.Load(); got != runs {
-		t.Fatalf("resident key re-simulated: sims %d, want %d", got, runs)
-	}
-	// ...an evicted one simulates again (and the map stays bounded).
-	if _, err := srv.execute(req(1000)); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.sims.Load(); got != runs+1 {
-		t.Fatalf("evicted key served from a memo that should have shrunk: sims %d, want %d", got, runs+1)
-	}
-	if got := srv.memoLen(); got != 3 {
-		t.Fatalf("memo grew past its cap: %d", got)
-	}
-}
 
 // TestAbandonedWhileQueued: a coordinator that times out and
 // re-dispatches must not leave the worker camped on the semaphore — the

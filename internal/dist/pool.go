@@ -55,7 +55,6 @@ type poolConfig struct {
 	tls              *tls.Config // client TLS for https:// workers
 	transport        http.RoundTripper
 	clock            chaos.Clock
-	loadThreshold    int64 // <= 0 means defaultLoadThreshold
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	logf             func(format string, args ...any)
@@ -73,7 +72,6 @@ type pool struct {
 	probeHC          *http.Client // short-timeout client for health probes
 	clock            chaos.Clock
 	logf             func(format string, args ...any)
-	loadThreshold    int64
 	breakerThreshold int
 	breakerCooldown  time.Duration
 
@@ -90,10 +88,6 @@ type pool struct {
 // coordinator knows immediately whether anyone is reachable), and
 // starts the periodic health checker.
 func newPool(cfg poolConfig) *pool {
-	thr := cfg.loadThreshold
-	if thr <= 0 {
-		thr = defaultLoadThreshold
-	}
 	if cfg.clock == nil {
 		cfg.clock = chaos.System()
 	}
@@ -102,7 +96,6 @@ func newPool(cfg poolConfig) *pool {
 		probeHC:          probeClient(cfg.probeTimeout, cfg.tls, cfg.transport),
 		clock:            cfg.clock,
 		logf:             cfg.logf,
-		loadThreshold:    thr,
 		breakerThreshold: cfg.breakerThreshold,
 		breakerCooldown:  cfg.breakerCooldown,
 		interval:         cfg.interval,
@@ -312,7 +305,7 @@ func (p *pool) pick(sh uint32, attempt int) *worker {
 		loads[i] = w.loadNow()
 	}
 	pref := preferred.loadNow()
-	if pref <= median(loads)+p.loadThreshold {
+	if pref <= median(loads)+defaultLoadThreshold {
 		preferred.br.allowDispatch(now)
 		return preferred
 	}

@@ -88,7 +88,7 @@ type Health struct {
 }
 
 // shard maps a canonical request key onto a stable 32-bit shard value.
-// The coordinator uses it to give every runKey a preferred worker, so
+// The coordinator uses it to give every request key a preferred worker, so
 // repeated and concurrent requests for the same simulation land on the
 // same machine (fleet-level singleflight affinity: that worker's memo
 // cache already holds or is computing the result).

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -49,17 +50,15 @@ func (r *Registry) Addrs() ([]string, error) {
 		if resp.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("registry %s: status %d", r.spec, resp.StatusCode)
 		}
-		data = make([]byte, 0, 4096)
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			data = append(data, buf[:n]...)
-			if err != nil {
-				break
-			}
-			if len(data) > 1<<20 {
-				return nil, fmt.Errorf("registry %s: response over 1MiB", r.spec)
-			}
+		// A truncated or oversize listing is an error, never a smaller
+		// fleet: the caller keeps its current membership instead of
+		// evicting every worker past the cut.
+		data, err = io.ReadAll(io.LimitReader(resp.Body, 1<<20+1))
+		if err != nil {
+			return nil, fmt.Errorf("registry %s: reading listing: %v", r.spec, err)
+		}
+		if len(data) > 1<<20 {
+			return nil, fmt.Errorf("registry %s: response over 1MiB", r.spec)
 		}
 	} else {
 		var err error

@@ -135,29 +135,18 @@ type Runner struct {
 	backend Backend
 	sem     chan struct{} // bounds simulations in flight
 
-	mu    sync.Mutex
-	cache map[runKey]*inflight[*uarch.Stats]
-	plans *planCache // shared by the sweep's sampled requests
+	tier  *store.Tier // memory, then Options.Store, then the backend
+	plans *planCache  // shared by the sweep's sampled requests
 
 	sims      atomic.Uint64 // simulations actually executed
-	hits      atomic.Uint64 // requests served from the memo (or by waiting)
+	hits      atomic.Uint64 // requests served from memory (or by waiting)
 	storeHits atomic.Uint64 // requests served from the durable result store
 }
 
-type runKey struct {
-	bench string
-	cfg   uarch.Config
-	// sampled/sample keep sampled runs distinct from full runs of the
-	// same machine in the in-memory memo, mirroring the Request.Sample
-	// distinction in the durable store key.
-	sampled bool
-	sample  sample.Spec
-}
-
-// inflight is one memo entry: done closes when v is valid, so duplicate
-// requests block on the leader instead of computing again. If the
-// leader panicked (unknown benchmark, bad kernel), panicv carries the
-// value so waiters re-raise it instead of reading a zero result.
+// inflight is one plan-cache entry: done closes when v is valid, so
+// duplicate requests block on the leader instead of building again. If
+// the leader panicked, panicv carries the value so waiters re-raise it
+// instead of reading a zero result.
 type inflight[T any] struct {
 	done   chan struct{}
 	v      T
@@ -204,7 +193,7 @@ func NewRunner(opts Options) *Runner {
 		opts:    opts,
 		backend: opts.backend(),
 		sem:     make(chan struct{}, opts.parallel()),
-		cache:   make(map[runKey]*inflight[*uarch.Stats]),
+		tier:    store.NewTier(opts.Store, 0),
 		plans:   newPlanCache(),
 	}
 }
@@ -245,91 +234,46 @@ func configLabel(cfg uarch.Config) string {
 }
 
 // Run simulates one benchmark on one configuration (memoised and
-// deduplicated; safe to call from many goroutines).
+// deduplicated through the Runner's result tier; safe to call from many
+// goroutines).
 func (r *Runner) Run(bench string, width int, mutate func(*uarch.Config)) *uarch.Stats {
 	mustf(r.opts.Sample == nil || r.opts.Warmup == 0,
 		"experiments: Options.Sample and Options.Warmup are mutually exclusive (the sample spec owns warmup)")
 	cfg := config(width, mutate)
 	cfg.WarmupInsts = r.opts.Warmup
-	key := runKey{bench: bench, cfg: cfg}
-	if r.opts.Sample != nil {
-		key.sampled = true
-		key.sample = *r.opts.Sample
-	}
-
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		st := e.mustJoin()
-		r.hits.Add(1)
-		return st
-	}
-	e := &inflight[*uarch.Stats]{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
-
 	obs := r.opts.Observer
 	budget := r.opts.insts() + r.opts.Warmup
 	req := Request{Bench: bench, Config: cfg, Budget: budget, UseKernels: r.opts.UseKernels, Sample: r.opts.Sample}
 
-	// Durable-store tier, fast path: a result checkpointed by an
-	// earlier (possibly killed) sweep is served without queueing for a
-	// worker slot. The observer sees the run as queued and immediately
-	// cache-hit, so a resumed sweep's progress still accounts for every
-	// run.
-	if r.opts.Store != nil {
-		if st, ok := r.opts.Store.Get(req.Key()); ok {
-			if obs != nil {
-				obs.RunQueued(bench, req.Label(), budget)
-			}
-			NotifyCached(obs, bench, req.Label(), budget)
-			r.storeHits.Add(1)
-			e.v = st
-			close(e.done)
-			return st
+	st, src, err := r.tier.Do(req.Key(), func() (*uarch.Stats, error) {
+		if obs != nil {
+			obs.RunQueued(bench, req.Label(), budget)
 		}
-	}
-
-	if obs != nil {
-		obs.RunQueued(bench, req.Label(), budget)
-	}
-	r.sem <- struct{}{}
-	func() {
-		// Release the worker slot and publish the entry even if the
-		// simulation panics, so waiters never deadlock on done.
-		defer func() {
-			e.panicv = recover()
-			<-r.sem
-			close(e.done)
-		}()
+		r.sem <- struct{}{}
+		defer func() { <-r.sem }()
 		// The backend fires the started/finished observer events: the
 		// local backend around the in-process simulation, the
 		// distributed one when its worker streams them back.
-		ctx := withPlanCache(context.Background(), r.plans)
-		if r.opts.Store == nil {
-			st, err := r.backend.Execute(ctx, req, obs)
-			mustf(err == nil, "experiments: %v", err)
-			e.v = st
-			r.sims.Add(1)
-			return
+		return r.backend.Execute(withPlanCache(context.Background(), r.plans), req, obs)
+	})
+	mustf(err == nil, "experiments: %v", err)
+	switch src {
+	case store.Computed:
+		r.sims.Add(1)
+	case store.Memory:
+		r.hits.Add(1)
+	case store.Disk:
+		// A result checkpointed by an earlier (possibly killed) sweep,
+		// or by a concurrent sweep sharing the store, never took a
+		// worker slot. The observer sees it queued and cache-hit, so a
+		// resumed sweep's progress still accounts for every run.
+		if obs != nil {
+			obs.RunQueued(bench, req.Label(), budget)
 		}
-		// Durable-store tier, slow path: the store's advisory lock
-		// elects one computing process per request across concurrent
-		// sweeps sharing the cache directory; everyone else is served
-		// the winner's checkpointed result.
-		st, cached, err := r.opts.Store.GetOrCompute(req.Key(), func() (*uarch.Stats, error) {
-			return r.backend.Execute(ctx, req, obs)
-		})
-		mustf(err == nil, "experiments: %v", err)
-		e.v = st
-		if cached {
-			NotifyCached(obs, bench, req.Label(), budget)
-			r.storeHits.Add(1)
-		} else {
-			r.sims.Add(1)
-		}
-	}()
-	return e.mustJoin()
+		NotifyCached(obs, bench, req.Label(), budget)
+		r.storeHits.Add(1)
+	}
+	return st
 }
 
 // Base simulates the baseline machine.

@@ -115,6 +115,69 @@ func TestDeadlineSpentQueued(t *testing.T) {
 	}
 }
 
+// budgetBackend never finishes a request whose ctx carries a deadline
+// (it returns the ctx error once that passes) and completes any other
+// request at once: a job with a deadline always times out mid-run.
+type budgetBackend struct {
+	mu    sync.Mutex
+	calls int
+}
+
+func (b *budgetBackend) Execute(ctx context.Context, req experiments.Request, obs experiments.Observer) (*uarch.Stats, error) {
+	b.mu.Lock()
+	b.calls++
+	b.mu.Unlock()
+	if _, ok := ctx.Deadline(); ok {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return &uarch.Stats{Committed: req.Budget, Cycles: req.Budget / 2}, nil
+}
+
+func (b *budgetBackend) callCount() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.calls
+}
+
+// TestDeadlineFailureStaysWithItsJob pins the result tier's failure
+// policy at the service layer: two identical jobs run together, the
+// first with a deadline that expires mid-run, the second with none.
+// The second joins the first's in-flight simulation; when that fails,
+// the failure stays with the first job and the second computes for
+// itself and finishes done.
+func TestDeadlineFailureStaysWithItsJob(t *testing.T) {
+	backend := &budgetBackend{}
+	s, ts := newTestServer(t, Options{Backend: backend, Workers: 2})
+
+	spec := map[string]any{"bench": "gzip", "insts": 1001}
+	withDeadline := map[string]any{"bench": "gzip", "insts": 1001, "deadline_sec": 0.5}
+	first := submitJob(t, ts, "", withDeadline, http.StatusCreated)
+	deadline := time.Now().Add(5 * time.Second)
+	for backend.callCount() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never dispatched")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	second := submitJob(t, ts, "", spec, http.StatusCreated)
+	waitJobState(t, ts, "", second.ID, StateRunning)
+
+	got := waitJobState(t, ts, "", first.ID, StateFailed)
+	if !strings.Contains(got.Error, "deadline exceeded") {
+		t.Fatalf("first job error %q, want a deadline-exceeded failure", got.Error)
+	}
+	if v := waitJobState(t, ts, "", second.ID, StateDone); v.Cached {
+		t.Fatal("second job reported cached; the failed run left nothing to serve")
+	}
+	if n := backend.callCount(); n != 2 {
+		t.Fatalf("backend called %d times, want 2 (the failed run and the second job's own)", n)
+	}
+	if sv := s.Stats(); sv.DeadlineExceeded != 1 || sv.Dispatched != 2 || sv.Done != 1 || sv.Failed != 1 {
+		t.Fatalf("stats %+v, want 1 deadline exceeded / 2 dispatched / 1 done / 1 failed", sv)
+	}
+}
+
 // TestBrownoutShedding pins the class-aware admission floor: as fleet
 // saturation and queue depth build, background sheds first, then
 // batch, while interactive is admitted until the queue is hard-full —

@@ -55,8 +55,8 @@ type Options struct {
 	// Backend executes dispatched jobs; nil means in-process
 	// (experiments.LocalBackend).
 	Backend experiments.Backend
-	// Store is the shared result CDN; nil disables it (every job then
-	// dispatches to the backend).
+	// Store is the durable tier of the shared result CDN; nil keeps the
+	// CDN in memory only (store.DaemonMemCap results).
 	Store *store.Store
 	// Workers bounds concurrently dispatched jobs.
 	Workers int
@@ -125,6 +125,7 @@ type Server struct {
 	opts    Options
 	journal *journal
 	start   time.Time
+	results *store.Tier // the result CDN: memory, then Options.Store
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -168,6 +169,7 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		journal: jl,
 		start:   opts.Clock.Now(),
+		results: store.NewTier(opts.Store, store.DaemonMemCap),
 		jobs:    map[string]*Job{},
 		wake:    make(chan struct{}, opts.Workers),
 		stop:    make(chan struct{}),
@@ -276,10 +278,15 @@ func (e *AdmissionError) Error() string {
 
 // Submit validates nothing (the API layer resolved spec already); it
 // admits, journals and enqueues one job for tenant. The CDN fast path
-// runs first: a result already in the shared store completes the job
-// immediately — no admission charge, no fleet dispatch, stream reports
-// a cache hit.
+// runs first: a result already in the shared result tier completes the
+// job immediately — no admission charge, no fleet dispatch, stream
+// reports a cache hit.
 func (s *Server) Submit(tenant string, spec SubmitRequest, req experiments.Request) (*Job, error) {
+	// CDN fast path: identical config already computed (by any tenant,
+	// any process sharing the cache dir) — serve it without admission
+	// or dispatch. The lookup may read disk, so it runs outside mu.
+	st, _, cached := s.results.Lookup(req.Key())
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	select {
@@ -288,36 +295,31 @@ func (s *Server) Submit(tenant string, spec SubmitRequest, req experiments.Reque
 	default:
 	}
 
-	// CDN fast path: identical config already computed (by any tenant,
-	// any process sharing the cache dir) — serve it without admission
-	// or dispatch.
-	if s.opts.Store != nil {
-		if st, ok := s.opts.Store.Get(req.Key()); ok {
-			j := s.newJobLocked(tenant, spec, req)
-			j.state = StateDone
-			j.cached = true
-			j.result = st
-			j.finished = s.opts.Clock.Now()
-			if err := s.journalSubmitLocked(j); err != nil {
-				return nil, err
-			}
-			data, merr := json.Marshal(st)
-			if merr != nil {
-				return nil, fmt.Errorf("serve: encoding cached stats: %w", merr)
-			}
-			if err := s.journal.append(journalRecord{Op: "done", ID: j.ID, Cached: true, Stats: data}); err != nil {
-				return nil, err
-			}
-			s.registerLocked(j)
-			s.done++
-			s.storeHits++
-			j.events.publish(s.eventLocked(j, "queued", "", ""))
-			hit := s.eventLocked(j, "hit", "", "")
-			hit.Source = "cache"
-			j.events.publish(hit)
-			j.events.publish(s.eventLocked(j, "done", StateDone, ""))
-			return j, nil
+	if cached {
+		j := s.newJobLocked(tenant, spec, req)
+		j.state = StateDone
+		j.cached = true
+		j.result = st
+		j.finished = s.opts.Clock.Now()
+		if err := s.journalSubmitLocked(j); err != nil {
+			return nil, err
 		}
+		data, merr := json.Marshal(st)
+		if merr != nil {
+			return nil, fmt.Errorf("serve: encoding cached stats: %w", merr)
+		}
+		if err := s.journal.append(journalRecord{Op: "done", ID: j.ID, Cached: true, Stats: data}); err != nil {
+			return nil, err
+		}
+		s.registerLocked(j)
+		s.done++
+		s.storeHits++
+		j.events.publish(s.eventLocked(j, "queued", "", ""))
+		hit := s.eventLocked(j, "hit", "", "")
+		hit.Source = "cache"
+		j.events.publish(hit)
+		j.events.publish(s.eventLocked(j, "done", StateDone, ""))
+		return j, nil
 	}
 
 	if err := s.admitLocked(tenant, spec.priority); err != nil {
@@ -522,11 +524,12 @@ func (s *Server) dequeue() *Job {
 }
 
 // execute runs one dispatched job to its terminal state. The result
-// store wraps the backend call: a hit (raced-in local result or one
-// computed by another process sharing the cache dir) completes the job
-// without executing, reported on the stream as a cache hit; a miss
-// elects this process to compute via the store's cross-process lock and
-// stores the result for every future tenant.
+// tier wraps the backend call: a hit (an identical job that finished or
+// was in flight here, or a result computed by another process sharing
+// the cache dir) completes the job without executing, reported on the
+// stream as a cache hit; a miss elects this job to compute and keeps
+// the result for every future tenant. An identical job's failure — its
+// deadline, say — is its own: this job then computes for itself.
 //
 // A job submitted with a deadline carries one budget from submit time:
 // whatever queueing already consumed is gone, and the remainder bounds
@@ -547,24 +550,13 @@ func (s *Server) execute(j *Job) {
 		defer cancel()
 	}
 	obs := &jobObserver{s: s, j: j}
-	var (
-		st     *uarch.Stats
-		cached bool
-		err    error
-	)
-	if s.opts.Store != nil {
-		st, cached, err = s.opts.Store.GetOrCompute(j.Request.Key(), func() (*uarch.Stats, error) {
-			s.mu.Lock()
-			s.dispatched++
-			s.mu.Unlock()
-			return s.opts.Backend.Execute(ctx, j.Request, obs)
-		})
-	} else {
+	st, src, err := s.results.Do(j.Request.Key(), func() (*uarch.Stats, error) {
 		s.mu.Lock()
 		s.dispatched++
 		s.mu.Unlock()
-		st, err = s.opts.Backend.Execute(ctx, j.Request, obs)
-	}
+		return s.opts.Backend.Execute(ctx, j.Request, obs)
+	})
+	cached := src != store.Computed
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -663,12 +655,6 @@ func (o *jobObserver) RunStartedFrom(source, bench, config string, insts uint64)
 
 func (o *jobObserver) RunFinishedFrom(source, bench, config string, insts uint64) {
 	o.publish("finish", source)
-}
-
-// RunCached marks a store hit observed inside the backend layer (the
-// dist coordinator's own cache tier).
-func (o *jobObserver) RunCached(bench, config string, insts uint64) {
-	o.publish("hit", "cache")
 }
 
 // Cancel cancels a queued job. Running jobs are not interruptible (a

@@ -6,6 +6,11 @@
 // finished simulations, and a code change invalidates stale entries
 // instead of silently serving wrong Stats.
 //
+// Callers do not use the Store directly for read-through: Tier chains
+// memory, then a Store, then the caller's compute, with one
+// singleflight and one failure policy for every caller (the Runner,
+// sweepd workers, hpserve and cmd/halfprice).
+//
 // Robustness contract:
 //
 //   - Writes are atomic (staged in tmp/, fsynced, then renamed into
