@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt generate check sweepd hpserve dist-smoke cache-smoke serve-smoke chaos-smoke sample-smoke bench bench-smoke
+.PHONY: build test race lint fmt generate check sweepd hpserve dist-smoke cache-smoke serve-smoke chaos-smoke sample-smoke fuzz bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,13 @@ chaos-smoke:
 # two identical sampled runs.
 sample-smoke:
 	bash scripts/sample-smoke.sh
+
+# fuzz runs the coordinator's NDJSON stream reader under the fuzzer CI
+# runs: arbitrary worker response bodies must never panic runOn or
+# double-fire observer events. The seed corpus lives in
+# internal/dist/testdata/fuzz.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzWorkerStream -fuzztime=20s ./internal/dist
 
 # bench runs the pinned BENCH_<n>.json matrix (PERF.md, README.md
 # §Benchmarking) into BENCH_dev.json, diffed against the newest

@@ -14,10 +14,10 @@
 //	-quiet       suppress the live progress line on stderr
 //	-progress-json f  write NDJSON progress events to f ("-" = stderr)
 //	-workers list     comma-separated sweepd worker addresses; simulations
-//	                  shard across the fleet (load-aware) and fall back to
-//	                  local execution when no worker is reachable
-//	-registry f       worker registry (file or http(s) endpoint), re-read
-//	                  while the sweep runs so workers join and leave
+//	                  shard across the fleet and fall back to local
+//	                  execution when no worker is reachable
+//	-registry f       worker registry file, re-read while the sweep runs
+//	                  so workers join and leave
 //	-worker-timeout d per-request timeout against remote workers
 //	-token s          shared auth token presented to workers
 //	                  (default $HALFPRICE_TOKEN)

@@ -21,7 +21,7 @@
 //	-workers list     comma-separated sweepd worker addresses; the run is
 //	                  dispatched to the fleet (local fallback when none is
 //	                  reachable). -hot and -profile always run locally.
-//	-registry f       worker registry (file or http(s) endpoint)
+//	-registry f       worker registry file
 //	-worker-timeout d per-request timeout against remote workers
 //	-token s          shared auth token presented to workers
 //	                  (default $HALFPRICE_TOKEN)

@@ -27,7 +27,7 @@
 //	-quiet            suppress operational logging
 //
 // Plus the shared fleet flags (-workers, -registry, -worker-timeout,
-// -token, -tls-ca, -health-interval, -hedge, -hedge-after): with a
+// -token, -tls-ca, -health-interval, -hedge): with a
 // fleet configured, jobs dispatch to sweepd workers through the dist
 // coordinator and the fleet's probe-cached load telemetry feeds
 // admission control and /v1/stats; without one, jobs simulate

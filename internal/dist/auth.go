@@ -30,7 +30,7 @@ func tokenEqual(got, want string) bool {
 // carry "Authorization: Bearer <token>" or they are rejected with 401
 // before the handler runs. An empty token disables the check (a trusted
 // private fleet). /healthz stays unauthenticated either way — it leaks
-// only liveness and queue depth, and coordinators probe it before they
+// only liveness and run counts, and coordinators probe it before they
 // have any reason to present credentials.
 func requireToken(token string, h http.HandlerFunc) http.HandlerFunc {
 	if token == "" {

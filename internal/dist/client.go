@@ -28,9 +28,11 @@ type Options struct {
 	// Timeout bounds one remote request end to end — queueing on the
 	// worker, simulation, and streaming the result back (default 5m).
 	Timeout time.Duration
-	// Attempts is how many workers a request is dispatched to before the
-	// coordinator degrades to local execution (default 3; each failure
-	// re-dispatches to the next dispatchable worker in ring order).
+	// Attempts bounds how many dispatches one request makes before the
+	// coordinator degrades to local execution (default 3). First tries,
+	// retries and hedges all count: attempt n goes to the first
+	// dispatchable worker in ring order, n places after the shard's
+	// preferred worker.
 	Attempts int
 	// Backoff is the base delay between dispatch attempts; attempt n
 	// waits in [Backoff<<n / 2, Backoff<<n), jittered to keep a fleet of
@@ -40,11 +42,11 @@ type Options struct {
 	// feeds worker circuit breakers and of the registry re-read that
 	// lets workers join and leave the running sweep (default 5s).
 	HealthInterval time.Duration
-	// Registry names a dynamic worker-membership source — a file or an
-	// http(s):// endpoint listing one worker address per line — re-read
-	// on every health interval. Registry workers join and leave the
-	// fleet while a sweep runs; addresses passed to NewCoordinator stay
-	// pinned regardless. Empty means static membership only.
+	// Registry names a dynamic worker-membership file listing one
+	// worker address per line, re-read on every health interval.
+	// Registry workers join and leave the fleet while a sweep runs;
+	// addresses passed to NewCoordinator stay pinned regardless. Empty
+	// means static membership only.
 	Registry string
 	// Token, when non-empty, is sent as "Authorization: Bearer <token>"
 	// on every /run request. Workers started with a matching -token
@@ -63,18 +65,16 @@ type Options struct {
 	// of dispatch and probing before admitting a half-open trial; it
 	// doubles on every consecutive re-open (default: HealthInterval).
 	BreakerCooldown time.Duration
-	// Hedge enables hedged dispatch: once a request has been in flight
-	// longer than the fleet's p95 latency estimate (or HedgeAfter, when
-	// set), a second attempt launches on the least-loaded other worker;
-	// the first result wins and the loser is canceled. The worker-side
-	// result tier dedups the work, and the coordinator's
-	// forwarder keeps observer events exactly-once, but the raw
-	// dispatch count is no longer one-per-run — so hedging is opt-in
-	// (hpserve turns it on; batch sweep equivalence tests leave it off).
+	// Hedge enables hedged dispatch: once the one attempt in flight has
+	// run longer than the fleet's p95 latency estimate, the next attempt
+	// launches on the next worker in ring order without waiting for the
+	// first to fail; the first result wins and the loser is canceled.
+	// The worker-side result tier dedups the work, and the
+	// coordinator's forwarder keeps observer events exactly-once, but
+	// the raw dispatch count is no longer one-per-run — so hedging is
+	// opt-in (hpserve turns it on; batch sweep equivalence tests leave
+	// it off).
 	Hedge bool
-	// HedgeAfter, when > 0, pins the hedge delay instead of the
-	// adaptive p95 estimate.
-	HedgeAfter time.Duration
 	// Transport, when non-nil, replaces the coordinator's underlying
 	// HTTP transport for runs and probes — the chaos harness's
 	// fault-injection seam (chaos.Injector.Transport).
@@ -208,7 +208,10 @@ func NewCoordinator(addrs []string, opts Options) *Coordinator {
 func (c *Coordinator) Close() { c.pool.close() }
 
 // HealthyWorkers reports how many workers are currently in dispatch.
-func (c *Coordinator) HealthyWorkers() int { return c.pool.healthyCount() }
+func (c *Coordinator) HealthyWorkers() int {
+	workers, _ := c.FleetLoad()
+	return workers
+}
 
 // HedgeStats reports how many hedged attempts this coordinator has
 // launched and how many of them beat their primary.
@@ -225,7 +228,7 @@ func (c *Coordinator) HedgeStats() (launched, won uint64) {
 func (c *Coordinator) FleetLoad() (workers int, running int64) {
 	now := c.clock.Now()
 	for _, w := range c.pool.snapshot() {
-		if !w.dispatchableAt(now) {
+		if !w.br.dispatchable(now) {
 			continue
 		}
 		workers++
@@ -234,45 +237,102 @@ func (c *Coordinator) FleetLoad() (workers int, running int64) {
 	return workers, running
 }
 
-// Execute implements experiments.Backend: dispatch to the request's
-// preferred worker, re-dispatch on failure, and degrade to local
-// execution when the fleet is unreachable. Observer events fire exactly
-// once per run regardless of retries or hedging. ctx bounds the whole
-// attempt sequence — one budget decremented across retries, not one per
-// attempt; a done ctx stops retrying, backing off and falling back.
-// Result caching is the caller's: sweeps put a store.Tier above this
-// backend.
+// Execute implements experiments.Backend as one attempt loop over the
+// request's shard ring, bounded by Options.Attempts. Attempt n goes to
+// pool.pick(shard, n). An attempt is the first try; a retry, launched
+// after backoff once nothing is in flight; or, with Hedge on, a hedge,
+// launched when the one attempt in flight outlives the latency
+// estimate. The first success wins and cancels the rest. When no worker
+// is dispatchable or every attempt failed, execution degrades to the
+// local machine. Observer events fire exactly once per run regardless
+// of retries or hedging. ctx bounds the whole loop — one budget
+// decremented across attempts, not one per attempt; a done ctx stops
+// retrying, backing off and falling back. Result caching is the
+// caller's: sweeps put a store.Tier above this backend.
 func (c *Coordinator) Execute(ctx context.Context, req experiments.Request, obs experiments.Observer) (*uarch.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	fw := &forwarder{obs: obs, bench: req.Bench, label: req.Label(), insts: req.Budget}
 	sh := shard(req.Key())
-	for attempt := 0; attempt < c.opts.Attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dist: deadline spent after %d attempts: %w", attempt, err)
-		}
-		w := c.pool.pick(sh, attempt)
-		if w == nil {
-			break
-		}
-		if attempt > 0 {
-			if err := c.sleepBackoff(ctx, attempt-1); err != nil {
-				return nil, err
+
+	type outcome struct {
+		st    *uarch.Stats
+		err   error
+		w     *worker
+		hedge bool
+	}
+	// Sized for every attempt, so attempts still running when the loop
+	// returns never block on their send.
+	results := make(chan outcome, c.opts.Attempts)
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel() // the winner's return cancels the losers
+	launch := func(w *worker, hedge bool) {
+		go func() {
+			t0 := c.clock.Now()
+			st, err := c.runOn(actx, w, req, fw)
+			if err == nil {
+				c.lat.observe(c.clock.Now().Sub(t0))
+			}
+			results <- outcome{st, err, w, hedge}
+		}()
+	}
+
+	n, inFlight := 0, 0
+	var running *worker // the attempt a hedge would back up
+	var hedgeTimer <-chan time.Time
+	for {
+		if inFlight == 0 {
+			if n >= c.opts.Attempts {
+				break
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("dist: deadline spent after %d attempts: %w", n, err)
+			}
+			running = c.pool.pick(sh, n)
+			if running == nil {
+				break
+			}
+			if n > 0 {
+				if err := c.sleepBackoff(ctx, n-1); err != nil {
+					return nil, err
+				}
+			}
+			launch(running, false)
+			n, inFlight = n+1, 1
+			hedgeTimer = nil
+			if d, ok := c.hedgeDelay(); ok && n < c.opts.Attempts {
+				hedgeTimer = c.clock.After(d)
 			}
 		}
-		st, err := c.runMaybeHedged(ctx, w, req, fw)
-		if err == nil {
-			return st, nil
-		}
-		if ctx.Err() != nil {
-			// The failure is the caller's expired deadline, not the
-			// worker's: don't charge its breaker.
-			return nil, fmt.Errorf("dist: deadline spent mid-dispatch: %w", ctx.Err())
-		}
-		c.opts.Logf("dist: worker %s: %s %s: %v; re-dispatching", w.addr, req.Bench, fw.label, err)
-		if w.br.failure(c.clock.Now()) {
-			c.opts.Logf("dist: worker %s breaker opened after failed request", w.addr)
+		select {
+		case r := <-results:
+			inFlight--
+			if r.err == nil {
+				if r.hedge {
+					c.hedgeWins.Add(1)
+				}
+				return r.st, nil
+			}
+			if err := ctx.Err(); err != nil {
+				// The failure is the caller's expired deadline, not the
+				// worker's: don't charge its breaker.
+				return nil, fmt.Errorf("dist: deadline spent mid-dispatch: %w", err)
+			}
+			// The attempt failed on its own: the loop cancels attempts
+			// only by returning. This is the one place a dispatch
+			// failure charges a breaker.
+			c.opts.Logf("dist: worker %s: %s %s: %v; re-dispatching", r.w.addr, req.Bench, fw.label, r.err)
+			if r.w.br.failure(c.clock.Now()) {
+				c.opts.Logf("dist: worker %s breaker opened after failed request", r.w.addr)
+			}
+		case <-hedgeTimer:
+			hedgeTimer = nil
+			if w := c.pool.pick(sh, n); w != nil && w != running {
+				c.hedges.Add(1)
+				launch(w, true)
+				n, inFlight = n+1, inFlight+1
+			}
 		}
 	}
 
@@ -296,108 +356,13 @@ func (c *Coordinator) Execute(ctx context.Context, req experiments.Request, obs 
 	return st, nil
 }
 
-// runMaybeHedged runs one dispatch attempt, racing a hedged second
-// attempt against the primary when hedging is enabled and the primary
-// outlives the hedge delay. First result wins; the loser's request
-// context is canceled. A canceled loser never counts against its
-// worker's breaker — only the attempt that actually failed does, and
-// that accounting happens here because only this function knows which
-// worker produced which error.
-func (c *Coordinator) runMaybeHedged(ctx context.Context, primary *worker, req experiments.Request, fw *forwarder) (*uarch.Stats, error) {
-	delay, ok := c.hedgeDelay()
-	if !ok {
-		return c.timedRunOn(ctx, primary, req, fw)
-	}
-
-	type outcome struct {
-		st  *uarch.Stats
-		err error
-		w   *worker
-		ctx context.Context
-	}
-	results := make(chan outcome, 2)
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	go func() {
-		st, err := c.timedRunOn(pctx, primary, req, fw)
-		results <- outcome{st, err, primary, pctx}
-	}()
-
-	inFlight := 1
-	var hcancel context.CancelFunc
-	timer := c.clock.After(delay)
-	var firstErr error
-	for inFlight > 0 {
-		select {
-		case r := <-results:
-			inFlight--
-			if r.err == nil {
-				pcancel()
-				if hcancel != nil {
-					hcancel()
-				}
-				if r.w != primary {
-					c.hedgeWins.Add(1)
-				}
-				return r.st, nil
-			}
-			// A loser canceled by the winner (or by our own deadline)
-			// isn't the worker's fault; everything else opens its way
-			// toward the breaker.
-			if r.ctx.Err() == nil || ctx.Err() != nil {
-				if firstErr == nil {
-					firstErr = r.err
-				}
-			}
-			if r.ctx.Err() == nil && r.w != primary {
-				c.opts.Logf("dist: hedged attempt on %s failed: %v", r.w.addr, r.err)
-				if r.w.br.failure(c.clock.Now()) {
-					c.opts.Logf("dist: worker %s breaker opened after failed hedge", r.w.addr)
-				}
-			}
-		case <-timer:
-			timer = nil
-			peer := c.pool.leastLoadedExcept(primary)
-			if peer == nil {
-				continue
-			}
-			c.hedges.Add(1)
-			var hctx context.Context
-			hctx, hcancel = context.WithCancel(ctx)
-			defer hcancel()
-			inFlight++
-			go func() {
-				st, err := c.timedRunOn(hctx, peer, req, fw)
-				results <- outcome{st, err, peer, hctx}
-			}()
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("request canceled")
-	}
-	return nil, firstErr
-}
-
-// hedgeDelay returns the in-flight duration after which a request
+// hedgeDelay returns the in-flight duration after which an attempt
 // hedges, and whether hedging applies at all right now.
 func (c *Coordinator) hedgeDelay() (time.Duration, bool) {
 	if !c.opts.Hedge {
 		return 0, false
 	}
-	if c.opts.HedgeAfter > 0 {
-		return c.opts.HedgeAfter, true
-	}
 	return c.lat.estimate()
-}
-
-// timedRunOn is runOn plus latency accounting for the hedge trigger.
-func (c *Coordinator) timedRunOn(ctx context.Context, w *worker, req experiments.Request, fw *forwarder) (*uarch.Stats, error) {
-	t0 := c.clock.Now()
-	st, err := c.runOn(ctx, w, req, fw)
-	if err == nil {
-		c.lat.observe(c.clock.Now().Sub(t0))
-	}
-	return st, err
 }
 
 // runOn sends one request to one worker and consumes its NDJSON stream:

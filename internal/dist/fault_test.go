@@ -21,10 +21,15 @@ import (
 type faultMode int
 
 const (
-	dieMidRun faultMode = iota // streams "start", then drops the connection
-	hang                       // accepts the request and never answers
-	corrupt                    // answers with bytes that are not JSON
+	dieMidRun  faultMode = iota // streams "start", then drops the connection
+	hang                        // accepts the request and never answers
+	corrupt                     // answers with bytes that are not JSON
+	failSlowly                  // answers 500 after slowFailDelay
 )
+
+// slowFailDelay is how long a failSlowly worker runs before failing:
+// long enough for a warmed hedge to launch while it is in flight.
+const slowFailDelay = 300 * time.Millisecond
 
 // newFaultyWorker serves a worker that passes health checks but fails
 // every /run request in the given mode. hits counts dispatch attempts
@@ -54,6 +59,13 @@ func newFaultyWorker(t *testing.T, mode faultMode, hits *atomic.Int64) *httptest
 			}
 		case corrupt:
 			io.WriteString(w, "{{{ this is not JSON\n")
+		case failSlowly:
+			select {
+			case <-time.After(slowFailDelay):
+			case <-r.Context().Done():
+			case <-stop:
+			}
+			http.Error(w, "simulated failure", http.StatusInternalServerError)
 		}
 	})
 	ts := httptest.NewServer(mux)

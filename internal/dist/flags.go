@@ -2,6 +2,7 @@ package dist
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"time"
@@ -20,7 +21,6 @@ type Flags struct {
 	TLSCA          string
 	HealthInterval time.Duration
 	Hedge          bool
-	HedgeAfter     time.Duration
 }
 
 // AddFlags registers the distributed-execution flags on the default
@@ -28,13 +28,12 @@ type Flags struct {
 func AddFlags() *Flags {
 	f := &Flags{}
 	flag.StringVar(&f.Workers, "workers", "", "comma-separated sweepd worker addresses (host:port or URL, https:// for TLS); empty = in-process execution")
-	flag.StringVar(&f.Registry, "registry", "", "worker registry — a file or http(s) endpoint listing one worker address per line, re-read while the sweep runs so workers join and leave")
+	flag.StringVar(&f.Registry, "registry", "", "worker registry file listing one worker address per line, re-read while the sweep runs so workers join and leave")
 	flag.DurationVar(&f.Timeout, "worker-timeout", 5*time.Minute, "per-request timeout against remote workers")
 	flag.StringVar(&f.Token, "token", os.Getenv(TokenEnv), "shared auth token presented to workers (default $"+TokenEnv+")")
 	flag.StringVar(&f.TLSCA, "tls-ca", "", "PEM file with CA certificate(s) to trust for https:// workers (e.g. the fleet's self-signed cert)")
 	flag.DurationVar(&f.HealthInterval, "health-interval", 5*time.Second, "fleet health-probe and registry re-read period")
-	flag.BoolVar(&f.Hedge, "hedge", false, "hedge slow requests: once a dispatch outlives the fleet's p95 latency estimate, race a second attempt on the least-loaded other worker (first result wins)")
-	flag.DurationVar(&f.HedgeAfter, "hedge-after", 0, "fixed hedge delay overriding the adaptive p95 estimate (0 = adaptive; needs -hedge)")
+	flag.BoolVar(&f.Hedge, "hedge", false, "hedge slow requests: once a dispatch outlives the fleet's p95 latency estimate, race the next attempt on the next worker in ring order (first result wins)")
 	return f
 }
 
@@ -47,12 +46,17 @@ func (f *Flags) Enabled() bool {
 
 // Coordinator builds the coordinator the parsed flags describe. With
 // neither -workers nor -registry set it returns a nil coordinator
-// (leave Options.Backend nil) and a no-op closer. Result caching is the
-// caller's: commands put a store.Tier (the Runner's, or their own) above
-// the coordinator, so results are checkpointed exactly once.
+// (leave Options.Backend nil) and a no-op closer. A -registry URL is an
+// error: the registry is a file, and reading one named "http:" would
+// silently yield an empty fleet. Result caching is the caller's:
+// commands put a store.Tier (the Runner's, or their own) above the
+// coordinator, so results are checkpointed exactly once.
 func (f *Flags) Coordinator() (*Coordinator, func(), error) {
 	if !f.Enabled() {
 		return nil, func() {}, nil
+	}
+	if reg := strings.TrimSpace(f.Registry); strings.HasPrefix(reg, "http://") || strings.HasPrefix(reg, "https://") {
+		return nil, nil, fmt.Errorf("-registry %s: the registry must be a file, not a URL", reg)
 	}
 	opts := Options{
 		Timeout:        f.Timeout,
@@ -60,7 +64,6 @@ func (f *Flags) Coordinator() (*Coordinator, func(), error) {
 		Token:          f.Token,
 		HealthInterval: f.HealthInterval,
 		Hedge:          f.Hedge,
-		HedgeAfter:     f.HedgeAfter,
 	}
 	if f.TLSCA != "" {
 		tc, err := TLSConfigFromCA(f.TLSCA)

@@ -82,48 +82,24 @@ func TestRegistryParsing(t *testing.T) {
 	}
 }
 
-func TestRegistryEndpoint(t *testing.T) {
-	ep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "a:1\nb:2")
-	}))
-	defer ep.Close()
-	reg := NewRegistry(ep.URL)
-	addrs, err := reg.Addrs()
+// TestFlagsRejectRegistryURL: the registry is a file, so an http(s)://
+// -registry is refused at startup rather than read as a file named
+// "http:" — which would silently yield an empty fleet.
+func TestFlagsRejectRegistryURL(t *testing.T) {
+	for _, reg := range []string{"http://reg:8080/workers", " https://reg/workers"} {
+		c, _, err := (&Flags{Registry: reg, HealthInterval: time.Hour}).Coordinator()
+		if err == nil {
+			c.Close()
+			t.Fatalf("-registry %q accepted, want an error", reg)
+		}
+	}
+	c, closeCoord, err := (&Flags{Registry: filepath.Join(t.TempDir(), "workers"), HealthInterval: time.Hour}).Coordinator()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("file registry refused: %v", err)
 	}
-	if want := []string{"a:1", "b:2"}; fmt.Sprint(addrs) != fmt.Sprint(want) {
-		t.Fatalf("endpoint Addrs = %v, want %v", addrs, want)
-	}
-	if err := reg.Register("c:3"); err == nil {
-		t.Fatal("Register against an HTTP registry must fail: membership is owned by the endpoint")
-	}
-}
-
-// TestRegistryEndpointBadListing: a listing cut short mid-body, or one
-// over the 1 MiB bound, is an error — never a partial fleet with a bogus
-// last address and every worker past the cut evicted.
-func TestRegistryEndpointBadListing(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		handler http.HandlerFunc
-	}{
-		{"truncated", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Length", "1000")
-			fmt.Fprint(w, "a:1\nb:2\nc:")
-		}},
-		{"oversize", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprint(w, strings.Repeat("a:1\n", 1<<18+1))
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ep := httptest.NewServer(tc.handler)
-			defer ep.Close()
-			addrs, err := NewRegistry(ep.URL).Addrs()
-			if err == nil {
-				t.Fatalf("Addrs = %v with a nil error, want an error", addrs)
-			}
-		})
+	defer closeCoord()
+	if n := c.HealthyWorkers(); n != 0 {
+		t.Fatalf("empty registry file gave %d workers, want 0", n)
 	}
 }
 
@@ -324,8 +300,12 @@ func TestTLSWorker(t *testing.T) {
 	}
 }
 
-// --- load-aware dispatch ---
+// --- ring-order dispatch ---
 
+// TestLoadAwarePick pins that pick walks the shard ring and nothing
+// else: the preferred worker keeps its shard whatever load its probe
+// reported, attempt n starts n places further round the ring, and a
+// worker behind an open breaker is skipped.
 func TestLoadAwarePick(t *testing.T) {
 	p := &pool{
 		clock:           chaos.System(),
@@ -339,36 +319,40 @@ func TestLoadAwarePick(t *testing.T) {
 		p.workers = append(p.workers, ws[i])
 	}
 
-	// Balanced fleet: pure hash affinity.
+	// Pure hash affinity.
 	if got := p.pick(0, 0); got != ws[0] {
-		t.Fatalf("balanced pick(0) = %s, want preferred w0", got.addr)
+		t.Fatalf("pick(0, 0) = %s, want preferred w0", got.addr)
 	}
 	if got := p.pick(1, 0); got != ws[1] {
-		t.Fatalf("balanced pick(1) = %s, want preferred w1", got.addr)
+		t.Fatalf("pick(1, 0) = %s, want preferred w1", got.addr)
 	}
 
-	// Preferred worker within threshold of the median: affinity holds.
-	ws[0].setLoad(defaultLoadThreshold) // median 0 + threshold, not above it
-	if got := p.pick(0, 0); got != ws[0] {
-		t.Fatalf("pick at-threshold = %s, want preferred w0 (affinity keeps the memo warm)", got.addr)
+	// Later attempts walk the ring from the preferred worker.
+	if got := p.pick(0, 1); got != ws[1] {
+		t.Fatalf("pick(0, 1) = %s, want ring successor w1", got.addr)
+	}
+	if got := p.pick(2, 1); got != ws[0] {
+		t.Fatalf("pick(2, 1) = %s, want w0 (the ring wraps)", got.addr)
 	}
 
-	// Hot shard: preferred queue depth exceeds median+threshold, the
-	// least loaded worker takes the run.
-	ws[0].setLoad(defaultLoadThreshold + 7)
+	// Probed load never moves a shard off its preferred worker: affinity
+	// keeps the worker's result tier warm.
+	ws[0].setLoad(11)
 	ws[2].setLoad(1)
-	if got := p.pick(0, 0); got != ws[1] {
-		t.Fatalf("overloaded pick = %s, want least-loaded w1", got.addr)
+	if got := p.pick(0, 0); got != ws[0] {
+		t.Fatalf("loaded pick(0, 0) = %s, want preferred w0", got.addr)
 	}
-	// Other shards keep their own (unloaded) affinity.
 	if got := p.pick(2, 0); got != ws[2] {
-		t.Fatalf("pick(2) = %s, want preferred w2", got.addr)
+		t.Fatalf("pick(2, 0) = %s, want preferred w2", got.addr)
 	}
 
-	// Load shedding never elects a worker behind an open breaker.
+	// A worker behind an open breaker is skipped in ring order.
 	ws[1].br.failure(p.clock.Now())
-	if got := p.pick(0, 0); got != ws[2] {
-		t.Fatalf("pick with w1 down = %s, want w2", got.addr)
+	if got := p.pick(1, 0); got != ws[2] {
+		t.Fatalf("pick(1, 0) with w1 down = %s, want w2", got.addr)
+	}
+	if got := p.pick(0, 1); got != ws[2] {
+		t.Fatalf("pick(0, 1) with w1 down = %s, want w2", got.addr)
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,11 +72,11 @@ func TestHedgedDispatch(t *testing.T) {
 
 	c := NewCoordinator(addrs, Options{
 		Hedge:          true,
-		HedgeAfter:     50 * time.Millisecond,
 		Timeout:        30 * time.Second,
 		HealthInterval: time.Hour,
 	})
 	defer c.Close()
+	warmHedge(c, 50*time.Millisecond)
 
 	obs := &countingObserver{}
 	t0 := time.Now()
@@ -103,8 +104,7 @@ func TestHedgedDispatch(t *testing.T) {
 }
 
 // TestHedgeWarmupSuppressed pins the adaptive trigger's cold start: with
-// no HedgeAfter and fewer than hedgeWarmup completed requests, hedging
-// never fires — a cold estimate would double-dispatch the first
+// fewer than hedgeWarmup completed requests, hedging never fires — a cold estimate would double-dispatch the first
 // requests of every sweep.
 func TestHedgeWarmupSuppressed(t *testing.T) {
 	c := NewCoordinator(nil, Options{Hedge: true, HealthInterval: time.Hour})
@@ -118,5 +118,86 @@ func TestHedgeWarmupSuppressed(t *testing.T) {
 	c.lat.observe(10 * time.Millisecond)
 	if d, ok := c.hedgeDelay(); !ok || d <= 0 {
 		t.Fatalf("hedge delay after warmup = %s, %v; want a positive adaptive delay", d, ok)
+	}
+}
+
+// warmHedge feeds the latency estimator hedgeWarmup samples of d, so a
+// hedge launches once an attempt has been in flight for about d.
+func warmHedge(c *Coordinator, d time.Duration) {
+	for i := 0; i < hedgeWarmup; i++ {
+		c.lat.observe(d)
+	}
+}
+
+// TestHedgeFailedPrimaryChargesBreaker: a primary that fails on its own
+// (after 300 ms) while its hedge is still running (600 ms) is charged
+// for the failure even though the hedge then wins. Otherwise a worker
+// whose /run fails but whose /healthz answers is never evicted, and
+// every request to its shard waits out the hedge delay.
+func TestHedgeFailedPrimaryChargesBreaker(t *testing.T) {
+	req := requestFor(t, 0, 2)
+	var hits atomic.Int64
+	primary := newFaultyWorker(t, failSlowly, &hits)
+	_, peer := startWorkerWith(t, ServerOptions{PreRun: func(experiments.Request) { time.Sleep(600 * time.Millisecond) }})
+
+	opts := quietOptions(t)
+	opts.Hedge = true
+	c := NewCoordinator([]string{primary.URL, peer.URL}, opts)
+	defer c.Close()
+	warmHedge(c, 50*time.Millisecond)
+
+	st, err := c.Execute(context.Background(), req, nil)
+	if err != nil {
+		t.Fatalf("hedged Execute: %v", err)
+	}
+	want, err := experiments.Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if statsJSON(t, st) != statsJSON(t, want) {
+		t.Fatal("hedged result differs from local execution")
+	}
+	if launched, won := c.HedgeStats(); launched != 1 || won != 1 {
+		t.Fatalf("hedge stats launched=%d won=%d, want 1/1", launched, won)
+	}
+	if hits.Load() != 1 {
+		t.Fatalf("primary saw %d dispatches, want 1", hits.Load())
+	}
+	if got := c.pool.snapshot()[0].br.snapshot(); got != brOpen {
+		t.Fatalf("failed primary's breaker is %v after the hedge won, want open", got)
+	}
+}
+
+// TestHedgeCountsTowardAttempts: a hedge is one of the request's
+// Attempts, not an extra dispatch riding on each of them. Two workers
+// that both fail slowly see exactly Attempts dispatches between them
+// before the request falls back to local execution.
+func TestHedgeCountsTowardAttempts(t *testing.T) {
+	req := requestFor(t, 0, 2)
+	var hits atomic.Int64
+	a := newFaultyWorker(t, failSlowly, &hits)
+	b := newFaultyWorker(t, failSlowly, &hits)
+
+	opts := quietOptions(t)
+	opts.Hedge = true
+	opts.Attempts = 2
+	opts.BreakerThreshold = 10 // keep both workers dispatchable throughout
+	c := NewCoordinator([]string{a.URL, b.URL}, opts)
+	defer c.Close()
+	warmHedge(c, 50*time.Millisecond)
+
+	st, err := c.Execute(context.Background(), req, nil)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	want, err := experiments.Execute(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if statsJSON(t, st) != statsJSON(t, want) {
+		t.Fatal("fallback result differs from local execution")
+	}
+	if n := hits.Load(); n != 2 {
+		t.Fatalf("%d dispatches before the local fallback, want Attempts = 2", n)
 	}
 }

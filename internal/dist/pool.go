@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -26,10 +25,8 @@ type worker struct {
 	load int64 // Health.Running from the last successful probe
 }
 
-// dispatchableAt reports whether the breaker would admit a request now.
-func (w *worker) dispatchableAt(now time.Time) bool { return w.br.dispatchable(now) }
-
-// setLoad caches the worker's reported queue depth for load-aware pick.
+// setLoad caches the worker's reported count of running simulations,
+// which FleetLoad sums for admission control.
 func (w *worker) setLoad(n int64) {
 	w.mu.Lock()
 	w.load = n
@@ -41,10 +38,6 @@ func (w *worker) loadNow() int64 {
 	defer w.mu.Unlock()
 	return w.load
 }
-
-// defaultLoadThreshold is how far above the fleet-median queue depth a
-// shard's preferred worker may run before dispatch sheds away from it.
-const defaultLoadThreshold = 4
 
 // poolConfig carries the coordinator options the pool needs.
 type poolConfig struct {
@@ -224,7 +217,7 @@ func (p *pool) probeAll() {
 // probe asks one worker for /healthz and feeds the verdict to its
 // breaker: a failure or drain (503) counts toward opening it, a 200
 // closes it (re-admission). A successful probe also caches the
-// worker's queue depth for load-aware dispatch.
+// worker's count of running simulations for FleetLoad.
 func (p *pool) probe(w *worker) {
 	ok := false
 	if resp, err := p.probeHC.Get(w.base + HealthzPath); err == nil {
@@ -261,103 +254,24 @@ func (p *pool) loop() {
 	}
 }
 
-// pick returns the dispatch target for a shard. Affinity first: the
-// shard's preferred worker (rotated by retry attempt, skipping
-// broken-open ones in ring order) keeps equal requests landing on the
-// same machine, where the memo cache already holds or is computing the
-// result. Load sheds second: when the preferred worker's probed queue
-// depth exceeds the fleet median by more than the threshold, the least
-// loaded dispatchable worker takes the run instead — singleflight
-// affinity in the balanced case, demand-driven dispatch for hot shards
-// (the paper's own move: elect the less-loaded resource instead of
-// fixed affinity). Returns nil when no worker is dispatchable — the
-// caller degrades to local execution. The chosen worker's breaker is
-// committed (an expired open breaker transitions to its half-open
-// trial).
-func (p *pool) pick(sh uint32, attempt int) *worker {
+// pick returns the target of attempt n for a shard: the first
+// dispatchable worker in ring order, starting n places after the
+// shard's preferred worker. Affinity keeps equal requests landing on
+// the same machine, whose result tier already holds or is computing
+// the result; later attempts walk on past it. Returns nil when no
+// worker is dispatchable — the caller degrades to local execution. The
+// chosen worker's breaker is committed (an expired open breaker
+// transitions to its half-open trial).
+func (p *pool) pick(sh uint32, n int) *worker {
 	now := p.clock.Now()
 	ws := p.snapshot()
-	n := len(ws)
-	if n == 0 {
-		return nil
-	}
-	var preferred *worker
-	healthy := make([]*worker, 0, n)
-	for i := 0; i < n; i++ {
-		w := ws[(int(sh%uint32(n))+attempt+i)%n]
-		if !w.dispatchableAt(now) {
-			continue
-		}
-		if preferred == nil {
-			preferred = w
-		}
-		healthy = append(healthy, w)
-	}
-	if preferred == nil {
-		return nil
-	}
-	if len(healthy) == 1 {
-		preferred.br.allowDispatch(now)
-		return preferred
-	}
-	loads := make([]int64, len(healthy))
-	for i, w := range healthy {
-		loads[i] = w.loadNow()
-	}
-	pref := preferred.loadNow()
-	if pref <= median(loads)+defaultLoadThreshold {
-		preferred.br.allowDispatch(now)
-		return preferred
-	}
-	// Hot shard: elect the least loaded worker (first in ring order on
-	// ties, so the choice is deterministic for a given fleet state).
-	best := preferred
-	bestLoad := pref
-	for _, w := range healthy {
-		if l := w.loadNow(); l < bestLoad {
-			best, bestLoad = w, l
+	for i := range ws {
+		w := ws[(int(sh%uint32(len(ws)))+n+i)%len(ws)]
+		if w.br.allowDispatch(now) {
+			return w
 		}
 	}
-	best.br.allowDispatch(now)
-	return best
-}
-
-// leastLoadedExcept returns the least-loaded dispatchable worker other
-// than skip — the hedged-dispatch peer. Nil when no such worker exists.
-func (p *pool) leastLoadedExcept(skip *worker) *worker {
-	now := p.clock.Now()
-	var best *worker
-	var bestLoad int64
-	for _, w := range p.snapshot() {
-		if w == skip || !w.dispatchableAt(now) {
-			continue
-		}
-		if l := w.loadNow(); best == nil || l < bestLoad {
-			best, bestLoad = w, l
-		}
-	}
-	if best != nil {
-		best.br.allowDispatch(now)
-	}
-	return best
-}
-
-// median returns the lower median of loads. It may reorder loads.
-func median(loads []int64) int64 {
-	sort.Slice(loads, func(i, j int) bool { return loads[i] < loads[j] })
-	return loads[(len(loads)-1)/2]
-}
-
-// healthyCount reports how many workers are currently in dispatch.
-func (p *pool) healthyCount() int {
-	now := p.clock.Now()
-	n := 0
-	for _, w := range p.snapshot() {
-		if w.dispatchableAt(now) {
-			n++
-		}
-	}
-	return n
+	return nil
 }
 
 // close stops the health checker.

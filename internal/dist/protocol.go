@@ -27,8 +27,8 @@
 // https:// address (trusting a self-signed fleet cert via -tls-ca).
 //
 // Fleet membership: besides the static -workers list, a coordinator
-// can follow a registry (-registry) — a file or HTTP endpoint listing
-// one worker address per line — re-read on every health interval, so
+// can follow a registry (-registry) — a file listing one worker
+// address per line — re-read on every health interval, so
 // workers join and leave a running sweep. sweepd -register makes a
 // worker self-announce in a file registry on start and leave it on
 // drain.
@@ -40,13 +40,10 @@
 // fault-tolerant on top: per-request timeouts, bounded retries with
 // exponential backoff and jitter, health-check-driven worker eviction,
 // re-dispatch of work lost to a dead worker, and graceful degradation to
-// local execution when no worker is reachable. Dispatch is load-aware:
-// requests shard by key onto a preferred worker (memo affinity), but
-// when that worker's probed queue depth exceeds the fleet median by a
-// threshold the run goes to the least-loaded worker instead — the same
-// demand-driven move the paper makes when the last-arriving predictor
-// steers operands away from the contended fast wakeup slot. None of it
-// affects results, only where they are computed.
+// local execution when no worker is reachable. Requests shard by key
+// onto a preferred worker (memo affinity); retries and optional hedges
+// walk on round the worker ring from there. None of it affects results,
+// only where they are computed.
 package dist
 
 import (
@@ -82,7 +79,7 @@ func (m Message) Kind() string { return m.Event.Event }
 type Health struct {
 	OK       bool   `json:"ok"`
 	Draining bool   `json:"draining"`
-	Running  int64  `json:"running"` // requests in flight
+	Running  int64  `json:"running"` // requests holding a simulation slot
 	Done     uint64 `json:"done"`    // requests completed since start
 	Sims     uint64 `json:"sims"`    // simulations actually executed (memo misses)
 }

@@ -2,73 +2,35 @@ package dist
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
-// Registry is a dynamic worker-membership source: a local file, or an
-// HTTP(S) endpoint answering GET, listing one worker address per line
-// ("host:port" or a full URL; blank lines and #-comments ignored). The
-// coordinator re-reads it on every health interval, so workers join and
-// leave a running sweep without restarting it; sweepd's -register flag
-// makes a worker self-announce in a file registry on start and leave it
-// again on drain.
+// Registry is a dynamic worker-membership file listing one worker
+// address per line ("host:port" or a full URL; blank lines and
+// #-comments ignored). The coordinator re-reads it on every health
+// interval, so workers join and leave a running sweep without
+// restarting it; sweepd's -register flag makes a worker self-announce
+// in it on start and leave it again on drain.
 type Registry struct {
 	spec string
-	hc   *http.Client
 }
 
-// NewRegistry returns a registry over spec — an http(s):// URL or a
-// file path.
+// NewRegistry returns a registry over the file at spec.
 func NewRegistry(spec string) *Registry {
-	return &Registry{
-		spec: strings.TrimSpace(spec),
-		hc:   &http.Client{Timeout: 2 * time.Second},
-	}
-}
-
-// endpoint reports whether the registry is remote (an HTTP GET away)
-// rather than a local file.
-func (r *Registry) endpoint() bool {
-	return strings.HasPrefix(r.spec, "http://") || strings.HasPrefix(r.spec, "https://")
+	return &Registry{spec: strings.TrimSpace(spec)}
 }
 
 // Addrs reads the current membership. A missing registry file is an
 // empty fleet, not an error: workers that register later create it.
 func (r *Registry) Addrs() ([]string, error) {
-	var data []byte
-	if r.endpoint() {
-		resp, err := r.hc.Get(r.spec)
-		if err != nil {
-			return nil, fmt.Errorf("registry %s: %v", r.spec, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("registry %s: status %d", r.spec, resp.StatusCode)
-		}
-		// A truncated or oversize listing is an error, never a smaller
-		// fleet: the caller keeps its current membership instead of
-		// evicting every worker past the cut.
-		data, err = io.ReadAll(io.LimitReader(resp.Body, 1<<20+1))
-		if err != nil {
-			return nil, fmt.Errorf("registry %s: reading listing: %v", r.spec, err)
-		}
-		if len(data) > 1<<20 {
-			return nil, fmt.Errorf("registry %s: response over 1MiB", r.spec)
-		}
-	} else {
-		var err error
-		data, err = os.ReadFile(r.spec)
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("registry: %v", err)
-		}
+	data, err := os.ReadFile(r.spec)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("registry: %v", err)
 	}
 	return parseAddrs(string(data)), nil
 }
@@ -93,15 +55,11 @@ func parseAddrs(data string) []string {
 	return addrs
 }
 
-// Register announces addr in a file registry by appending one line
+// Register announces addr in the registry by appending one line
 // (O_APPEND, so concurrent workers self-announcing do not tear each
 // other's lines). Registering an address that is already listed is a
-// no-op. Endpoint registries are read-only from here: whatever serves
-// them owns membership.
+// no-op.
 func (r *Registry) Register(addr string) error {
-	if r.endpoint() {
-		return fmt.Errorf("registry %s: cannot register against an HTTP registry (membership is owned by the endpoint)", r.spec)
-	}
 	addr = strings.TrimSpace(addr)
 	if addr == "" {
 		return fmt.Errorf("registry: empty address")
@@ -129,13 +87,10 @@ func (r *Registry) Register(addr string) error {
 	return nil
 }
 
-// Deregister removes addr from a file registry, rewriting it atomically
+// Deregister removes addr from the registry, rewriting it atomically
 // (tmp + rename) so concurrent readers always see a complete listing.
 // A missing file or an unlisted address is a no-op.
 func (r *Registry) Deregister(addr string) error {
-	if r.endpoint() {
-		return fmt.Errorf("registry %s: cannot deregister against an HTTP registry (membership is owned by the endpoint)", r.spec)
-	}
 	addr = strings.TrimSpace(addr)
 	current, err := r.Addrs()
 	if err != nil || current == nil {

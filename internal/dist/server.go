@@ -93,7 +93,7 @@ func (s *Server) Health() Health {
 
 // Handler returns the worker's HTTP API. /run and /drain require the
 // configured token; /healthz answers anyone (it carries liveness and
-// queue depth only, and coordinators probe it unauthenticated).
+// run counts only, and coordinators probe it unauthenticated).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(RunPath, requireToken(s.token, s.handleRun))
