@@ -77,12 +77,15 @@ chaos-smoke:
 sample-smoke:
 	bash scripts/sample-smoke.sh
 
-# fuzz runs the coordinator's NDJSON stream reader under the fuzzer CI
-# runs: arbitrary worker response bodies must never panic runOn or
-# double-fire observer events. The seed corpus lives in
-# internal/dist/testdata/fuzz.
+# fuzz runs each fuzz target for 20 s, as CI does (go test fuzzes one
+# target at a time). FuzzWorkerStream: arbitrary worker response bodies
+# must never panic the coordinator's NDJSON reader or double-fire
+# observer events. FuzzJournalReplay: an arbitrary hpserve journal must
+# replay to an error or a job list, and its rewrite must replay to the
+# same jobs. Seed corpora live in internal/{dist,serve}/testdata/fuzz.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWorkerStream -fuzztime=20s ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=20s ./internal/serve
 
 # bench runs the pinned BENCH_<n>.json matrix (PERF.md, README.md
 # §Benchmarking) into BENCH_dev.json, diffed against the newest

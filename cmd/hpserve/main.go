@@ -21,7 +21,7 @@
 //	-max-queue n      queued-job bound before 429 (default 256)
 //	-tenant-quota n   per-tenant queued-job bound (default 32)
 //	-max-insts n      per-job instruction-budget cap (default 5000000)
-//	-history n        terminal jobs retained in the journal (default 1024)
+//	-history n        terminal jobs retained, live and in the journal (default 1024)
 //	-tenants f        tenants file, one "name:token" per line; empty =
 //	                  open mode (every request is tenant "anonymous")
 //	-quiet            suppress operational logging
@@ -62,7 +62,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "queued-job bound before submits are rejected with 429 (0 = default 256)")
 	tenantQuota := flag.Int("tenant-quota", 0, "per-tenant queued-job bound (0 = default 32)")
 	maxInsts := flag.Uint64("max-insts", 0, "per-job instruction-budget cap (0 = default 5000000)")
-	history := flag.Int("history", 0, "terminal jobs retained in the journal across restarts (0 = default 1024)")
+	history := flag.Int("history", 0, "terminal jobs retained, live and in the journal across restarts (0 = default 1024)")
 	tenantsFile := flag.String("tenants", "", `tenants file, one "name:token" per line; empty = open mode`)
 	quiet := flag.Bool("quiet", false, "suppress operational logging")
 	fleet := dist.AddFlags()

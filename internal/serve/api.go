@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -215,15 +216,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenant str
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, tenant string) {
 	stateFilter := r.URL.Query().Get("state")
 	s.mu.Lock()
+	var jobs []*Job
+	for _, j := range s.jobs {
+		if j.Tenant == tenant && (stateFilter == "" || j.state == stateFilter) {
+			jobs = append(jobs, j)
+		}
+	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].Seq < jobs[b].Seq })
 	views := []View{}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.Tenant != tenant {
-			continue
-		}
-		if stateFilter != "" && j.state != stateFilter {
-			continue
-		}
+	for _, j := range jobs {
 		views = append(views, j.viewLocked())
 	}
 	s.mu.Unlock()
@@ -328,8 +329,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, tenant str
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, tenant string) {
-	id := r.PathValue("id")
-	err := s.Cancel(tenant, id)
+	// Hold the job itself: once canceled, history eviction may drop it
+	// from the server's map.
+	j := s.tenantJob(tenant, r.PathValue("id"))
+	if j == nil {
+		writeError(w, http.StatusNotFound, "no such job")
+		return
+	}
+	err := s.Cancel(tenant, j.ID)
 	switch {
 	case errors.Is(err, ErrNoJob):
 		writeError(w, http.StatusNotFound, "no such job")
@@ -338,7 +345,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, tenant str
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	default:
-		j := s.tenantJob(tenant, id)
 		s.mu.Lock()
 		v := j.viewLocked()
 		s.mu.Unlock()

@@ -238,23 +238,34 @@ func reattributeLocksToDeadPid(t *testing.T, cacheDir string) {
 
 // TestJournalTornTail pins crash tolerance in the journal itself: a
 // partial trailing line (the fsync'd append the crash interrupted) is
-// ignored, while a corrupt interior line is refused loudly.
+// ignored, and gone before anything is appended after it, so a second
+// restart still loads; a corrupt interior line is refused loudly.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
-	sr := SubmitRequest{Bench: "gzip", Insts: 1500}
-	req, err := sr.resolve(defaultMaxInsts)
-	if err != nil {
-		t.Fatal(err)
+	// Each server is abandoned without Close, like a killed process: its
+	// dispatch parks in the backend forever.
+	start := func() *Server {
+		t.Helper()
+		s, err := New(Options{Dir: dir, Backend: &blockedBackend{park: make(chan struct{})}, Workers: 1})
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		return s
+	}
+	submit := func(s *Server, insts uint64) {
+		t.Helper()
+		sr := SubmitRequest{Bench: "gzip", Insts: insts}
+		req, err := sr.resolve(defaultMaxInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit("alice", sr, req); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	s, err := New(Options{Dir: dir, Backend: &blockedBackend{park: make(chan struct{})}, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit("alice", sr, req); err != nil {
-		t.Fatal(err)
-	}
-	// Abandon s; tear the journal tail like a crash mid-append.
+	submit(start(), 1500)
+	// Tear the journal tail like a crash mid-append.
 	path := filepath.Join(dir, "jobs.journal")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -272,6 +283,15 @@ func TestJournalTornTail(t *testing.T) {
 	jl.close()
 	if len(jobs) != 1 || jobs[0].state != StateQueued {
 		t.Fatalf("replayed %d jobs (state %v), want 1 queued", len(jobs), jobs)
+	}
+
+	// Restart, submit more work, and restart again: the appends after
+	// the first restart must not have landed on the torn fragment.
+	s := start()
+	submit(s, 1600)
+	submit(s, 1700)
+	if st := start().Stats(); st.Queued+st.Running != 3 {
+		t.Fatalf("second restart holds %d queued + %d running jobs, want 3", st.Queued, st.Running)
 	}
 
 	// A corrupt line that is NOT the tail is damage, not a crash: refuse.

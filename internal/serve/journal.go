@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"halfprice/internal/chaos"
@@ -14,25 +14,29 @@ import (
 )
 
 // The journal is the queue's durability layer: an append-only NDJSON
-// file of job-lifecycle records, fsynced per append. Replaying it
-// rebuilds the queue after a crash — a job whose last record is
-// "submit" or "start" was not finished and goes back to the queued
-// state (re-dispatching a run is safe: simulations are deterministic
-// and the result store dedupes the work). "done" records embed the
-// result Stats, so a restarted server serves finished results even
-// when the result store is disabled or wiped.
+// file of job records, fsynced per append. A job is journaled twice:
+// its "submit" record when admitted and one terminal record ("done",
+// "fail" or "cancel") when it ends. Replaying it rebuilds the queue
+// after a crash — a job with no terminal record was not finished and
+// goes back to the queued state (re-dispatching a run is safe:
+// simulations are deterministic and the result store dedupes the
+// work). "done" records embed the result Stats, so a restarted server
+// serves finished results even when the result store is disabled or
+// wiped. Journals written by older builds may also hold "start"
+// records; replay accepts and ignores them.
 //
-// Open compacts on replay: terminal jobs beyond the retained history
-// cap are dropped via a tmp+rename rewrite, so the journal's size is
-// bounded by live work plus bounded history rather than by lifetime
-// traffic.
+// Every open rewrites an existing journal from the replayed jobs, via
+// tmp+rename: terminal jobs beyond the retained history cap are
+// dropped, so the journal's size is bounded by live work plus bounded
+// history rather than by lifetime traffic, and a torn tail left by a
+// crash is gone before anything is appended after it.
 //
 // All file access goes through a chaos.FS so the chaos harness can
 // inject disk faults (EIO, short writes, slow fsync) under the journal.
 
 // journalRecord is one NDJSON line.
 type journalRecord struct {
-	Op string `json:"op"` // submit | start | done | fail | cancel
+	Op string `json:"op"` // submit | done | fail | cancel (and legacy start)
 	// Job is set on submit records only.
 	Job *jobRecord `json:"job,omitempty"`
 	// ID identifies the job on non-submit records.
@@ -54,11 +58,19 @@ type jobRecord struct {
 	Submitted float64             `json:"submitted"` // unix seconds
 }
 
-// journal is the append handle plus the replayed state. Appends are
-// serialized by the owning Server's mu.
+// endOps maps each terminal state to the op of the record that ends a
+// job in it.
+var endOps = map[string]string{StateDone: "done", StateFailed: "fail", StateCanceled: "cancel"}
+
+// endRecord is the journal record that ends job id in a terminal state.
+func endRecord(id, state string, cached bool, stats json.RawMessage, errMsg string) journalRecord {
+	return journalRecord{Op: endOps[state], ID: id, Cached: cached, Stats: stats, Error: errMsg}
+}
+
+// journal is the append handle. Appends are serialized by the owning
+// Server's mu.
 type journal struct {
-	path string
-	f    chaos.File
+	f chaos.File
 }
 
 // replayedJob is one job reconstructed by openJournal.
@@ -70,51 +82,46 @@ type replayedJob struct {
 	errMsg string
 }
 
-// openJournal replays (tolerating a torn trailing line from a crash
-// mid-append), compacts, and reopens the journal for appending.
-// historyCap bounds how many terminal jobs survive compaction; the
-// most recently submitted are kept.
+// openJournal replays the journal in dir (tolerating a torn trailing
+// line from a crash mid-append), rewrites it with the jobs it keeps,
+// and reopens it for appending. historyCap bounds how many terminal
+// jobs are kept; the most recently submitted are. A state dir with no
+// journal file has nothing to replay and nothing is rewritten.
 func openJournal(fsys chaos.FS, dir string, historyCap int) (*journal, []replayedJob, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: creating state dir: %w", err)
 	}
 	path := filepath.Join(dir, "jobs.journal")
-	jobs, err := replayJournal(fsys, path)
-	if err != nil {
-		return nil, nil, err
+	var jobs []replayedJob
+	f, err := fsys.Open(path)
+	switch {
+	case os.IsNotExist(err):
+	case err != nil:
+		return nil, nil, fmt.Errorf("serve: opening journal: %w", err)
+	default:
+		jobs, err = replayJournal(f)
+		f.Close()
+		if err == nil {
+			jobs, err = compactJournal(fsys, path, jobs, historyCap)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
 	}
-	if err := compactJournal(fsys, path, jobs, historyCap); err != nil {
-		return nil, nil, err
-	}
-	// Re-derive the retained set so the in-memory view matches the file.
-	jobs, err = replayJournal(fsys, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	af, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	return &journal{path: path, f: f}, jobs, nil
+	return &journal{f: af}, jobs, nil
 }
 
-// replayJournal reads the journal into per-job state, submit order
-// preserved. A missing file is an empty journal. A torn final line
-// (crash mid-append) is ignored; a corrupt interior line is an error —
-// that is damage, not a crash artifact.
-func replayJournal(fsys chaos.FS, path string) ([]replayedJob, error) {
-	f, err := fsys.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening journal: %w", err)
-	}
-	defer f.Close()
-
+// replayJournal reads a journal into per-job state, submit order
+// preserved. A torn final line (crash mid-append) is ignored; a corrupt
+// interior line is an error — that is damage, not a crash artifact.
+func replayJournal(r io.Reader) ([]replayedJob, error) {
 	byID := map[string]*replayedJob{}
 	var order []string
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var torn string
 	for sc.Scan() {
@@ -132,6 +139,7 @@ func replayJournal(fsys chaos.FS, path string) ([]replayedJob, error) {
 			torn = fmt.Sprintf("%.80s", line)
 			continue
 		}
+		j := byID[rec.ID]
 		switch rec.Op {
 		case "submit":
 			if rec.Job == nil {
@@ -143,19 +151,20 @@ func replayJournal(fsys chaos.FS, path string) ([]replayedJob, error) {
 			byID[rec.Job.ID] = &replayedJob{rec: *rec.Job, state: StateQueued}
 			order = append(order, rec.Job.ID)
 		case "start":
-			// A start without a terminal record means the server died
-			// mid-run; the job replays as queued and re-dispatches.
+			// Written by older builds at dispatch; a job without a
+			// terminal record replays as queued either way.
+		// A job's last terminal record alone decides how it ended.
 		case "done":
-			if j := byID[rec.ID]; j != nil {
-				j.state, j.cached, j.stats = StateDone, rec.Cached, rec.Stats
+			if j != nil {
+				j.state, j.cached, j.stats, j.errMsg = StateDone, rec.Cached, rec.Stats, ""
 			}
 		case "fail":
-			if j := byID[rec.ID]; j != nil {
-				j.state, j.errMsg = StateFailed, rec.Error
+			if j != nil {
+				j.state, j.cached, j.stats, j.errMsg = StateFailed, false, nil, rec.Error
 			}
 		case "cancel":
-			if j := byID[rec.ID]; j != nil {
-				j.state = StateCanceled
+			if j != nil {
+				j.state, j.cached, j.stats, j.errMsg = StateCanceled, false, nil, ""
 			}
 		default:
 			return nil, fmt.Errorf("serve: unknown journal op %q", rec.Op)
@@ -171,86 +180,53 @@ func replayJournal(fsys chaos.FS, path string) ([]replayedJob, error) {
 	return out, nil
 }
 
-// compactJournal rewrites the journal keeping every non-terminal job
-// and the historyCap most recent terminal jobs, via tmp+rename so a
-// crash mid-compaction leaves the old journal intact.
-func compactJournal(fsys chaos.FS, path string, jobs []replayedJob, historyCap int) error {
-	var terminal []int
+// compactJournal rewrites the journal with every non-terminal job and
+// the historyCap most recently submitted terminal jobs, via tmp+rename
+// so a crash mid-rewrite leaves the old journal intact. It returns the
+// jobs it kept, in their original order.
+func compactJournal(fsys chaos.FS, path string, jobs []replayedJob, historyCap int) ([]replayedJob, error) {
+	terminal := 0
 	for i := range jobs {
 		if terminalState(jobs[i].state) {
-			terminal = append(terminal, i)
-		}
-	}
-	if len(jobs) == 0 || len(terminal) <= historyCap && fileLineCount(fsys, path) <= len(jobs)*2 {
-		// Nothing to drop and no redundant records worth rewriting.
-		return nil
-	}
-	drop := map[int]bool{}
-	if len(terminal) > historyCap {
-		// Keep the most recently submitted terminal jobs.
-		sort.Ints(terminal)
-		for _, i := range terminal[:len(terminal)-historyCap] {
-			drop[i] = true
+			terminal++
 		}
 	}
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("serve: compacting journal: %w", err)
+		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
 	enc := json.NewEncoder(f)
-	for i := range jobs {
-		if drop[i] {
+	kept := jobs[:0]
+	for _, j := range jobs {
+		ended := terminalState(j.state)
+		if ended && terminal > historyCap {
+			// Jobs are in submit order: the oldest terminal ones go.
+			terminal--
 			continue
 		}
-		j := &jobs[i]
-		if err := enc.Encode(journalRecord{Op: "submit", Job: &j.rec}); err != nil {
+		err := enc.Encode(journalRecord{Op: "submit", Job: &j.rec})
+		if err == nil && ended {
+			err = enc.Encode(endRecord(j.rec.ID, j.state, j.cached, j.stats, j.errMsg))
+		}
+		if err != nil {
 			f.Close()
-			return fmt.Errorf("serve: compacting journal: %w", err)
+			return nil, fmt.Errorf("serve: compacting journal: %w", err)
 		}
-		var term *journalRecord
-		switch j.state {
-		case StateDone:
-			term = &journalRecord{Op: "done", ID: j.rec.ID, Cached: j.cached, Stats: j.stats}
-		case StateFailed:
-			term = &journalRecord{Op: "fail", ID: j.rec.ID, Error: j.errMsg}
-		case StateCanceled:
-			term = &journalRecord{Op: "cancel", ID: j.rec.ID}
-		}
-		if term != nil {
-			if err := enc.Encode(*term); err != nil {
-				f.Close()
-				return fmt.Errorf("serve: compacting journal: %w", err)
-			}
-		}
+		kept = append(kept, j)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("serve: compacting journal: %w", err)
+		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("serve: compacting journal: %w", err)
+		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("serve: compacting journal: %w", err)
+		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
-}
-
-// fileLineCount counts newline-terminated lines; 0 on any error (the
-// caller only uses it to decide whether a rewrite is worthwhile).
-func fileLineCount(fsys chaos.FS, path string) int {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, b := range data {
-		if b == '\n' {
-			n++
-		}
-	}
-	return n
+	syncDir(filepath.Dir(path))
+	return kept, nil
 }
 
 // append durably writes one record: encode, write, fsync. The caller
@@ -276,14 +252,13 @@ func (jl *journal) close() error { return jl.f.Close() }
 // reject directory fsync; that is not worth failing startup over.
 // Directory handles stay on the real os package — chaos.FS deals in
 // regular files.
-func syncDir(dir string) error {
+func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return
 	}
 	defer d.Close()
 	_ = d.Sync()
-	return nil
 }
 
 // submittedTime converts a jobRecord's unix-seconds stamp back to

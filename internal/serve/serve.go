@@ -67,8 +67,8 @@ type Options struct {
 	TenantQuota int
 	// MaxInsts bounds one job's instruction budget.
 	MaxInsts uint64
-	// HistoryCap bounds how many terminal jobs the journal retains
-	// across restarts.
+	// HistoryCap bounds how many terminal jobs the server retains, live
+	// and in the journal across restarts; the oldest submitted go first.
 	HistoryCap int
 	// Tenants maps bearer token -> tenant name. Empty means open mode:
 	// all requests are the "anonymous" tenant.
@@ -129,7 +129,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string // submission order, for listing
 	queue    jobQueue
 	seq      uint64
 	running  int
@@ -176,12 +175,11 @@ func New(opts Options) (*Server, error) {
 	}
 	resumed := 0
 	for i := range replayed {
-		j, err := s.restoreJob(&replayed[i])
-		if err != nil {
+		if err := s.restoreJob(&replayed[i]); err != nil {
 			jl.close()
 			return nil, err
 		}
-		if j.state == StateQueued {
+		if replayed[i].state == StateQueued {
 			resumed++
 		}
 	}
@@ -200,14 +198,21 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// restoreJob rebuilds one replayed job. Terminal jobs get a closed
-// event log (queued, hit if cached, terminal line) so late stream
-// subscribers still see a complete history; queued jobs re-enter the
-// queue.
-func (s *Server) restoreJob(r *replayedJob) (*Job, error) {
+// restoreJob re-registers one replayed job and publishes its queued
+// line. An unfinished job re-enters the queue; a finished one ends
+// again through finishLocked with journaling off, so a stream
+// subscriber after the restart sees the terminal lines a live one did.
+func (s *Server) restoreJob(r *replayedJob) error {
 	pri, err := ParsePriority(r.rec.Priority)
 	if err != nil {
-		return nil, fmt.Errorf("serve: journal job %s: %w", r.rec.ID, err)
+		return fmt.Errorf("serve: journal job %s: %w", r.rec.ID, err)
+	}
+	var st *uarch.Stats
+	if r.state == StateDone && len(r.stats) > 0 {
+		st = new(uarch.Stats)
+		if err := json.Unmarshal(r.stats, st); err != nil {
+			return fmt.Errorf("serve: journal job %s: decoding stats: %w", r.rec.ID, err)
+		}
 	}
 	j := &Job{
 		ID:        r.rec.ID,
@@ -216,52 +221,20 @@ func (s *Server) restoreJob(r *replayedJob) (*Job, error) {
 		Priority:  pri,
 		Spec:      r.rec.Spec,
 		Request:   r.rec.Request,
-		state:     r.state,
-		cached:    r.cached,
-		errMsg:    r.errMsg,
+		state:     StateQueued,
 		submitted: r.rec.submittedTime(),
 		events:    newEventLog(),
-	}
-	if r.state == StateDone && len(r.stats) > 0 {
-		var st uarch.Stats
-		if err := json.Unmarshal(r.stats, &st); err != nil {
-			return nil, fmt.Errorf("serve: journal job %s: decoding stats: %w", r.rec.ID, err)
-		}
-		j.result = &st
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.Seq >= s.seq {
 		s.seq = j.Seq + 1
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	switch j.state {
-	case StateQueued:
-		s.queue.push(j)
-		j.events.publish(s.eventLocked(j, "queued", "", ""))
-	case StateDone:
-		s.done++
-		if j.cached {
-			s.storeHits++
-			j.events.publish(s.eventLocked(j, "queued", "", ""))
-			hit := s.eventLocked(j, "hit", "", "")
-			hit.Source = "cache"
-			j.events.publish(hit)
-		} else {
-			j.events.publish(s.eventLocked(j, "queued", "", ""))
-		}
-		j.events.publish(s.eventLocked(j, "done", StateDone, ""))
-	case StateFailed:
-		s.failed++
-		j.events.publish(s.eventLocked(j, "queued", "", ""))
-		j.events.publish(s.eventLocked(j, "error", StateFailed, j.errMsg))
-	case StateCanceled:
-		s.canceled++
-		j.events.publish(s.eventLocked(j, "queued", "", ""))
-		j.events.publish(s.eventLocked(j, "canceled", StateCanceled, ""))
+	s.enterLocked(j, r.state == StateQueued)
+	if r.state != StateQueued {
+		s.finishLocked(j, r.state, st, r.cached, r.errMsg, false)
 	}
-	return j, nil
+	return nil
 }
 
 // AdmissionError is a rejected submit: the service is over its queue
@@ -278,13 +251,11 @@ func (e *AdmissionError) Error() string {
 
 // Submit validates nothing (the API layer resolved spec already); it
 // admits, journals and enqueues one job for tenant. The CDN fast path
-// runs first: a result already in the shared result tier completes the
-// job immediately — no admission charge, no fleet dispatch, stream
-// reports a cache hit.
+// runs first: a result already in the shared result tier skips
+// admission and the queue and finishes the job at once — no admission
+// charge, no fleet dispatch, stream reports a cache hit.
 func (s *Server) Submit(tenant string, spec SubmitRequest, req experiments.Request) (*Job, error) {
-	// CDN fast path: identical config already computed (by any tenant,
-	// any process sharing the cache dir) — serve it without admission
-	// or dispatch. The lookup may read disk, so it runs outside mu.
+	// The lookup may read disk, so it runs outside mu.
 	st, _, cached := s.results.Lookup(req.Key())
 
 	s.mu.Lock()
@@ -294,50 +265,11 @@ func (s *Server) Submit(tenant string, spec SubmitRequest, req experiments.Reque
 		return nil, fmt.Errorf("serve: server is shut down")
 	default:
 	}
-
-	if cached {
-		j := s.newJobLocked(tenant, spec, req)
-		j.state = StateDone
-		j.cached = true
-		j.result = st
-		j.finished = s.opts.Clock.Now()
-		if err := s.journalSubmitLocked(j); err != nil {
+	if !cached {
+		if err := s.admitLocked(tenant, spec.priority); err != nil {
 			return nil, err
 		}
-		data, merr := json.Marshal(st)
-		if merr != nil {
-			return nil, fmt.Errorf("serve: encoding cached stats: %w", merr)
-		}
-		if err := s.journal.append(journalRecord{Op: "done", ID: j.ID, Cached: true, Stats: data}); err != nil {
-			return nil, err
-		}
-		s.registerLocked(j)
-		s.done++
-		s.storeHits++
-		j.events.publish(s.eventLocked(j, "queued", "", ""))
-		hit := s.eventLocked(j, "hit", "", "")
-		hit.Source = "cache"
-		j.events.publish(hit)
-		j.events.publish(s.eventLocked(j, "done", StateDone, ""))
-		return j, nil
 	}
-
-	if err := s.admitLocked(tenant, spec.priority); err != nil {
-		return nil, err
-	}
-	j := s.newJobLocked(tenant, spec, req)
-	if err := s.journalSubmitLocked(j); err != nil {
-		return nil, err
-	}
-	s.registerLocked(j)
-	s.queue.push(j)
-	j.events.publish(s.eventLocked(j, "queued", "", ""))
-	s.wakeOne() // non-blocking; safe under mu
-	return j, nil
-}
-
-// newJobLocked allocates a job (not yet registered or journaled).
-func (s *Server) newJobLocked(tenant string, spec SubmitRequest, req experiments.Request) *Job {
 	j := &Job{
 		ID:        fmt.Sprintf("j%06d", s.seq),
 		Seq:       s.seq,
@@ -350,16 +282,7 @@ func (s *Server) newJobLocked(tenant string, spec SubmitRequest, req experiments
 		events:    newEventLog(),
 	}
 	s.seq++
-	return j
-}
-
-func (s *Server) registerLocked(j *Job) {
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-}
-
-func (s *Server) journalSubmitLocked(j *Job) error {
-	return s.journal.append(journalRecord{Op: "submit", Job: &jobRecord{
+	if err := s.journal.append(journalRecord{Op: "submit", Job: &jobRecord{
 		ID:        j.ID,
 		Seq:       j.Seq,
 		Tenant:    j.Tenant,
@@ -367,7 +290,84 @@ func (s *Server) journalSubmitLocked(j *Job) error {
 		Spec:      j.Spec,
 		Request:   j.Request,
 		Submitted: float64(j.submitted.UnixNano()) / 1e9,
-	}})
+	}}); err != nil {
+		return nil, err
+	}
+	s.enterLocked(j, !cached)
+	if cached {
+		s.finishLocked(j, StateDone, st, true, "", true)
+	} else {
+		s.wakeOne() // non-blocking; safe under mu
+	}
+	return j, nil
+}
+
+// enterLocked registers a job, queues it when asked, and publishes its
+// queued line.
+func (s *Server) enterLocked(j *Job, queue bool) {
+	s.jobs[j.ID] = j
+	if queue {
+		s.queue.push(j)
+	}
+	j.events.publish(s.eventLocked(j, "queued", "", ""))
+}
+
+// finishLocked is the one way a job ends. It sets the terminal state,
+// result, cached flag and error; bumps the matching lifetime counter;
+// publishes the terminal lines (hit+done, error or canceled); and, when
+// live, stamps the finish time and journals the terminal record. Replay
+// passes live=false: the record is already in the journal, and a
+// restored job has no finish stamp because the journal records none.
+// The caller has already taken the job out of the queue or the running
+// count.
+//
+// Terminal jobs beyond HistoryCap are then evicted, oldest submitted
+// first — the rule journal compaction applies at the next open. Queued
+// and running jobs are never evicted.
+func (s *Server) finishLocked(j *Job, state string, st *uarch.Stats, cached bool, errMsg string, live bool) {
+	j.state, j.result, j.cached, j.errMsg = state, st, cached, errMsg
+	kind := state
+	switch state {
+	case StateDone:
+		s.done++
+		if cached {
+			s.storeHits++
+			hit := s.eventLocked(j, "hit", "", "")
+			hit.Source = "cache"
+			j.events.publish(hit)
+		}
+	case StateFailed:
+		s.failed++
+		kind = "error"
+	case StateCanceled:
+		s.canceled++
+	}
+	j.events.publish(s.eventLocked(j, kind, state, errMsg))
+	if live {
+		j.finished = s.opts.Clock.Now()
+		var stats []byte
+		var err error
+		if st != nil {
+			stats, err = json.Marshal(st)
+		}
+		if err == nil {
+			err = s.journal.append(endRecord(j.ID, state, cached, stats, errMsg))
+		}
+		if err != nil {
+			// The job still ended; without its record a restart
+			// re-queues it, which is safe.
+			s.opts.Logf("serve: %v", err)
+		}
+	}
+	for len(s.jobs)-s.queue.depth()-s.running > s.opts.HistoryCap {
+		var oldest *Job
+		for _, o := range s.jobs {
+			if terminalState(o.state) && (oldest == nil || o.Seq < oldest.Seq) {
+				oldest = o
+			}
+		}
+		delete(s.jobs, oldest.ID)
+	}
 }
 
 // admitLocked is the admission decision: per-tenant quota, global
@@ -505,7 +505,7 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// dequeue pops the next job, marks it running and journals the start.
+// dequeue pops the next job and marks it running.
 func (s *Server) dequeue() *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -515,11 +515,6 @@ func (s *Server) dequeue() *Job {
 	}
 	j.state = StateRunning
 	s.running++
-	if err := s.journal.append(journalRecord{Op: "start", ID: j.ID}); err != nil {
-		// The job still runs; a missing start record only means a
-		// restart would re-queue it, which is safe.
-		s.opts.Logf("serve: %v", err)
-	}
 	return j
 }
 
@@ -534,59 +529,52 @@ func (s *Server) dequeue() *Job {
 // A job submitted with a deadline carries one budget from submit time:
 // whatever queueing already consumed is gone, and the remainder bounds
 // the backend call through its context (the dist coordinator decrements
-// it further across retries and forwards it to workers).
+// it further across retries and forwards it to workers). A budget spent
+// while queued fails the job without reaching the backend.
 func (s *Server) execute(j *Job) {
 	started := s.opts.Clock.Now()
 	ctx := context.Background()
 	if j.Spec.DeadlineSec > 0 {
 		budget := time.Duration(j.Spec.DeadlineSec * float64(time.Second))
-		remaining := budget - started.Sub(j.submitted)
-		if remaining <= 0 {
-			s.failDeadline(j, fmt.Sprintf("deadline exceeded before dispatch (%.1fs budget spent queued)", j.Spec.DeadlineSec))
-			return
-		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, remaining)
+		ctx, cancel = context.WithTimeout(ctx, budget-started.Sub(j.submitted))
 		defer cancel()
 	}
-	obs := &jobObserver{s: s, j: j}
-	st, src, err := s.results.Do(j.Request.Key(), func() (*uarch.Stats, error) {
-		s.mu.Lock()
-		s.dispatched++
-		s.mu.Unlock()
-		return s.opts.Backend.Execute(ctx, j.Request, obs)
-	})
-	cached := src != store.Computed
+	var (
+		st  *uarch.Stats
+		src store.Source
+		err error
+	)
+	expired := ctx.Err() != nil
+	if expired {
+		err = fmt.Errorf("deadline exceeded before dispatch (%.1fs budget spent queued)", j.Spec.DeadlineSec)
+	} else {
+		obs := &jobObserver{s: s, j: j}
+		st, src, err = s.results.Do(j.Request.Key(), func() (*uarch.Stats, error) {
+			s.mu.Lock()
+			s.dispatched++
+			s.mu.Unlock()
+			return s.opts.Backend.Execute(ctx, j.Request, obs)
+		})
+		if err != nil && (ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded)) {
+			expired = true
+			err = fmt.Errorf("deadline exceeded (%.1fs budget): %w", j.Spec.DeadlineSec, err)
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	j.finished = s.opts.Clock.Now()
 	if err != nil {
-		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("deadline exceeded (%.1fs budget): %w", j.Spec.DeadlineSec, err)
+		if expired {
 			s.deadlineExceeded++
 		}
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.failed++
-		if jerr := s.journal.append(journalRecord{Op: "fail", ID: j.ID, Error: j.errMsg}); jerr != nil {
-			s.opts.Logf("serve: %v", jerr)
-		}
-		j.events.publish(s.eventLocked(j, "error", StateFailed, j.errMsg))
 		s.opts.Logf("serve: job %s failed: %v", j.ID, err)
+		s.finishLocked(j, StateFailed, nil, false, err.Error(), true)
 		return
 	}
-	j.state = StateDone
-	j.cached = cached
-	j.result = st
-	s.done++
-	if cached {
-		s.storeHits++
-		hit := s.eventLocked(j, "hit", "", "")
-		hit.Source = "cache"
-		j.events.publish(hit)
-	} else {
+	s.finishLocked(j, StateDone, st, src != store.Computed, "", true)
+	if src == store.Computed {
 		dur := j.finished.Sub(started).Seconds()
 		if s.ewmaJobSec <= 0 {
 			s.ewmaJobSec = dur
@@ -594,31 +582,6 @@ func (s *Server) execute(j *Job) {
 			s.ewmaJobSec = (1-ewmaAlpha)*s.ewmaJobSec + ewmaAlpha*dur
 		}
 	}
-	data, merr := json.Marshal(st)
-	if merr != nil {
-		s.opts.Logf("serve: encoding stats for journal: %v", merr)
-	} else if jerr := s.journal.append(journalRecord{Op: "done", ID: j.ID, Cached: cached, Stats: data}); jerr != nil {
-		s.opts.Logf("serve: %v", jerr)
-	}
-	j.events.publish(s.eventLocked(j, "done", StateDone, ""))
-}
-
-// failDeadline terminates a dequeued job whose budget ran out before
-// the backend was ever called — queueing alone consumed the deadline.
-func (s *Server) failDeadline(j *Job, msg string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running--
-	s.deadlineExceeded++
-	s.failed++
-	j.state = StateFailed
-	j.errMsg = msg
-	j.finished = s.opts.Clock.Now()
-	if jerr := s.journal.append(journalRecord{Op: "fail", ID: j.ID, Error: j.errMsg}); jerr != nil {
-		s.opts.Logf("serve: %v", jerr)
-	}
-	j.events.publish(s.eventLocked(j, "error", StateFailed, j.errMsg))
-	s.opts.Logf("serve: job %s failed: %s", j.ID, msg)
 }
 
 // jobObserver forwards backend lifecycle events onto the job's stream.
@@ -668,19 +631,10 @@ func (s *Server) Cancel(tenant, id string) error {
 	if j == nil || j.Tenant != tenant {
 		return ErrNoJob
 	}
-	if j.state != StateQueued {
-		return ErrNotCancelable
-	}
 	if !s.queue.remove(j) {
 		return ErrNotCancelable
 	}
-	j.state = StateCanceled
-	j.finished = s.opts.Clock.Now()
-	s.canceled++
-	if err := s.journal.append(journalRecord{Op: "cancel", ID: j.ID}); err != nil {
-		s.opts.Logf("serve: %v", err)
-	}
-	j.events.publish(s.eventLocked(j, "canceled", StateCanceled, ""))
+	s.finishLocked(j, StateCanceled, nil, false, "", true)
 	return nil
 }
 
