@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt generate check sweepd hpserve dist-smoke cache-smoke serve-smoke chaos-smoke sample-smoke fuzz bench bench-smoke
+.PHONY: build test race lint fmt generate check sweepd hpserve dist-smoke cache-smoke serve-smoke chaos-smoke sample-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -82,24 +82,13 @@ sample-smoke:
 # must never panic the coordinator's NDJSON reader or double-fire
 # observer events. FuzzJournalReplay: an arbitrary hpserve journal must
 # replay to an error or a job list, and its rewrite must replay to the
-# same jobs. Seed corpora live in internal/{dist,serve}/testdata/fuzz.
+# same jobs. FuzzTraceFile: arbitrary bytes through the binary trace
+# reader must decode to an error or records, and decoded records must
+# survive a write/read round trip unchanged. Seed corpora live in
+# internal/{dist,serve,trace}/testdata/fuzz.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWorkerStream -fuzztime=20s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=20s ./internal/serve
-
-# bench runs the pinned BENCH_<n>.json matrix (PERF.md, README.md
-# §Benchmarking) into BENCH_dev.json, diffed against the newest
-# committed BENCH_<n>.json automatically. To commit a trajectory point,
-# rerun with an explicit -id: see cmd/bench's doc.
-bench:
-	$(GO) run ./cmd/bench -out BENCH_dev.json
-
-# bench-smoke is the cheap CI shape: a one-cell-per-scheme matrix plus
-# schema validation of the smoke output and every committed report.
-bench-smoke:
-	$(GO) run ./cmd/bench -insts 5000 -repeats 1 -benchmarks gzip \
-		-widths 4 -schemes base,halfprice -quiet -out /tmp/bench-smoke.json
-	$(GO) run ./cmd/bench -check /tmp/bench-smoke.json
-	for f in BENCH_*.json; do $(GO) run ./cmd/bench -check $$f; done
+	$(GO) test -run '^$$' -fuzz FuzzTraceFile -fuzztime=20s ./internal/trace
 
 check: build lint race

@@ -19,7 +19,7 @@ var determinismScope = []string{
 	"internal/sample",   // seeded phase clustering: fully flagged, no exemption
 	"internal/dist",     // inventoried here, exempted below — see determinismExempt
 	"internal/store",    // inventoried here, exempted below — see determinismExempt
-	"internal/benchfmt", // inventoried here, exempted below — see determinismExempt
+	"internal/benchfmt", // (width, scheme) → machine mapping: fully flagged, no exemption
 	"internal/serve",    // inventoried here, exempted below — see determinismExempt
 	"internal/chaos",    // inventoried here, exempted below — see determinismExempt
 }
@@ -33,30 +33,27 @@ var determinismScope = []string{
 // simulation output. Workers and the store both carry results produced
 // by the same deterministic path as a local run (the store verifies its
 // payload bytes by checksum), and the equivalence tests pin the results
-// bit-identical. The benchmark layer (internal/benchfmt) is the perf
-// measurement path behind cmd/bench: its whole purpose is timing
-// simulations with the wall clock, and the Stats it reports come out of
-// the same deterministic simulator entry point as every test. The
-// service layer (internal/serve) is a long-running multi-tenant daemon:
-// job timestamps, queue-drain estimates and journal replay are
-// inherently wall-clock and concurrent, while every simulation it
-// serves goes through the same experiments.Backend seam as a local
-// sweep — the service schedules work, it never computes results. The
-// chaos harness (internal/chaos) is the fault-injection layer: its
-// System clock and injected delays are real time by definition, yet its
-// fault *decisions* are already deterministic by construction — every
-// verdict is a stateless hash of (seed, op, target, call index), never
-// a wall-clock or global-rand read (Plan.ScheduleDigest pins this), so
-// the analyzer's rules would only flag the clock plumbing the harness
-// exists to provide. The exemption takes precedence over the scope
-// list, so the boundary is explicit in code rather than implied by
-// omission, and re-listing such a package in the scope later cannot
-// silently outlaw its concurrency. internal/uarch, internal/trace and
-// internal/vm stay fully flagged.
+// bit-identical. The service layer (internal/serve) is a long-running
+// multi-tenant daemon: job timestamps, queue-drain estimates and
+// journal replay are inherently wall-clock and concurrent, while every
+// simulation it serves goes through the same experiments.Backend seam
+// as a local sweep — the service schedules work, it never computes
+// results. The chaos harness (internal/chaos) is the fault-injection
+// layer: its System clock and injected delays are real time by
+// definition, yet its fault *decisions* are already deterministic by
+// construction — every verdict is a stateless hash of (seed, op,
+// target, call index), never a wall-clock or global-rand read
+// (Plan.ScheduleDigest pins this), so the analyzer's rules would only
+// flag the clock plumbing the harness exists to provide. The exemption
+// takes precedence over the scope list, so the boundary is explicit in
+// code rather than implied by omission, and re-listing such a package
+// in the scope later cannot silently outlaw its concurrency. Every
+// other scoped package — the simulation core, the experiment harness,
+// internal/sample and the (width, scheme) mapping in internal/benchfmt,
+// which hpserve's submissions resolve through — stays fully flagged.
 var determinismExempt = []string{
 	"internal/dist",
 	"internal/store",
-	"internal/benchfmt",
 	"internal/serve",
 	"internal/chaos",
 }

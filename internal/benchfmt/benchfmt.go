@@ -1,125 +1,28 @@
-// Package benchfmt defines the repository's benchmark-trajectory
-// format — the BENCH_<n>.json documents committed at the repo root, one
-// per PR that claims a performance result — and the measurement driver
-// behind cmd/bench that produces them.
+// Package benchfmt names the scheduler/register-file schemes a user can
+// ask for and maps a (machine width, scheme) pair to a full machine
+// description. hpserve's job submissions and the _perfbench harness both
+// resolve through it, so the two agree on what "halfprice at 8 wide"
+// means.
 //
-// A report is one run of a pinned workload matrix (benchmark × machine
-// width × scheduler scheme) through the cycle-level simulator, recording
-// for every cell the simulation throughput (insts/sec), the wall cost of
-// one simulated cycle (ns/cycle) and the allocator traffic per run
-// (allocs/op, bytes/op). When a previous report is supplied as a
-// baseline, the new report also carries before/after deltas, so the
-// committed BENCH_<n>.json files form a comparable perf trajectory
-// across PRs.
-//
-// The JSON field names are part of the repository's documented contract:
-// README.md ("Benchmarking") and PERF.md both carry the schema table,
-// and a test in this package pins those tables to exactly the fields
-// emitted here. Changing the schema means changing the docs, the
-// SchemaVersion constant, and the test fixtures together.
-//
-// This package deliberately reads the wall clock — it is the perf
-// measurement layer, not the simulator. It is inventoried and exempted
-// by hpvet's determinism analyzer the same way as internal/dist and
-// internal/store: nothing here can influence simulation output.
+// The package keeps its name, which no longer fits, because the
+// _perfbench module imports it under that path.
 package benchfmt
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
-	"runtime"
-	"time"
 
-	"halfprice/internal/trace"
 	"halfprice/internal/uarch"
 )
 
-// SchemaVersion is the current BENCH_<n>.json schema generation. It
-// bumps only when a field is renamed, removed or changes meaning —
-// adding fields keeps the version.
-const SchemaVersion = 1
-
-// Report is one BENCH_<n>.json document: a pinned workload matrix
-// measured on one machine, with optional before/after deltas against a
-// baseline report.
-type Report struct {
-	SchemaVersion int    `json:"schema_version"`
-	BenchID       int    `json:"bench_id"`
-	GoVersion     string `json:"go_version"`
-	GOOS          string `json:"goos"`
-	GOARCH        string `json:"goarch"`
-	Matrix        Matrix `json:"matrix"`
-
-	Results []Result `json:"results"`
-	Summary Summary  `json:"summary"`
-
-	// Baseline and Delta are present when the report was produced
-	// against a previous BENCH_<n>.json (cmd/bench -baseline).
-	Baseline *Summary `json:"baseline,omitempty"`
-	Delta    *Delta   `json:"delta,omitempty"`
-}
-
-// Matrix pins the workload matrix a report measured. Two reports are
-// comparable when their matrices are equal.
-type Matrix struct {
-	InstsPerRun uint64   `json:"insts_per_run"`
-	Repeats     int      `json:"repeats"`
-	Benchmarks  []string `json:"benchmarks"`
-	Widths      []int    `json:"widths"`
-	Schemes     []string `json:"schemes"`
-}
-
-// Result is one cell of the matrix: one (workload, width, scheme)
-// simulation measured over Matrix.Repeats runs.
-type Result struct {
-	Workload string `json:"workload"`
-	Width    int    `json:"width"`
-	Scheme   string `json:"scheme"`
-
-	IPC       float64 `json:"ipc"`
-	SimInsts  uint64  `json:"sim_insts"`
-	SimCycles uint64  `json:"sim_cycles"`
-
-	WallNs      int64   `json:"wall_ns"`
-	InstsPerSec float64 `json:"insts_per_sec"`
-	NsPerCycle  float64 `json:"ns_per_cycle"`
-	AllocsPerOp uint64  `json:"allocs_per_op"`
-	BytesPerOp  uint64  `json:"bytes_per_op"`
-}
-
-// Summary aggregates a report: geometric means for the rate metrics
-// (cells span very different machines and workloads), arithmetic means
-// for the allocator traffic.
-type Summary struct {
-	InstsPerSecGeomean float64 `json:"insts_per_sec_geomean"`
-	NsPerCycleGeomean  float64 `json:"ns_per_cycle_geomean"`
-	AllocsPerOpMean    float64 `json:"allocs_per_op_mean"`
-	BytesPerOpMean     float64 `json:"bytes_per_op_mean"`
-}
-
-// Delta compares a report against its baseline. Speedup and improvement
-// factors are oriented so that bigger is better: a 2.0
-// allocs_per_op_improvement means half the allocations.
-type Delta struct {
-	BaselineBenchID        int     `json:"baseline_bench_id"`
-	InstsPerSecSpeedup     float64 `json:"insts_per_sec_speedup"`
-	NsPerCycleRatio        float64 `json:"ns_per_cycle_ratio"`
-	AllocsPerOpImprovement float64 `json:"allocs_per_op_improvement"`
-	BytesPerOpImprovement  float64 `json:"bytes_per_op_improvement"`
-}
-
-// Schemes names the scheduler/register-file configurations the driver
-// understands, in canonical matrix order.
+// Schemes names the scheduler/register-file configurations SchemeConfig
+// understands, in canonical order.
 func Schemes() []string {
 	return []string{"base", "halfprice", "tagelim", "pipelined-rf"}
 }
 
 // SchemeConfig applies a named scheme to a width's Table 1 machine.
-// Exported because it is the one mapping from the user-facing
-// (width, scheme) pair to a full machine description — cmd/bench cells
-// and hpserve job submissions both resolve through it.
+// It is the one mapping from the user-facing (width, scheme) pair to a
+// full machine description.
 func SchemeConfig(width int, scheme string) (uarch.Config, error) {
 	var cfg uarch.Config
 	switch width {
@@ -144,228 +47,4 @@ func SchemeConfig(width int, scheme string) (uarch.Config, error) {
 		return cfg, fmt.Errorf("benchfmt: unknown scheme %q (known: %v)", scheme, Schemes())
 	}
 	return cfg, nil
-}
-
-// DefaultMatrix is the pinned matrix cmd/bench and `make bench` run: a
-// workload spread (high/low IPC, memory-bound and branchy) across both
-// Table 1 widths and all four scheme configurations.
-func DefaultMatrix() Matrix {
-	return Matrix{
-		InstsPerRun: 50000,
-		Repeats:     3,
-		Benchmarks:  []string{"gzip", "mcf", "crafty", "vpr"},
-		Widths:      []int{4, 8},
-		Schemes:     Schemes(),
-	}
-}
-
-// Measure runs every cell of the matrix and assembles a report. Each
-// cell simulates once for warmup (and correctness checks), then
-// Matrix.Repeats timed runs measured with runtime.MemStats deltas —
-// the same mallocs/op accounting as testing.B's -benchmem.
-func Measure(m Matrix) (*Report, error) {
-	if m.InstsPerRun == 0 || m.Repeats <= 0 {
-		return nil, fmt.Errorf("benchfmt: matrix needs insts_per_run > 0 and repeats > 0")
-	}
-	if len(m.Benchmarks) == 0 || len(m.Widths) == 0 || len(m.Schemes) == 0 {
-		return nil, fmt.Errorf("benchfmt: matrix needs at least one benchmark, width and scheme")
-	}
-	rep := &Report{
-		SchemaVersion: SchemaVersion,
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		Matrix:        m,
-	}
-	for _, width := range m.Widths {
-		for _, scheme := range m.Schemes {
-			for _, bench := range m.Benchmarks {
-				r, err := measureCell(bench, width, scheme, m.InstsPerRun, m.Repeats)
-				if err != nil {
-					return nil, err
-				}
-				rep.Results = append(rep.Results, r)
-			}
-		}
-	}
-	rep.Summary = summarize(rep.Results)
-	return rep, nil
-}
-
-func measureCell(bench string, width int, scheme string, insts uint64, repeats int) (Result, error) {
-	p, ok := trace.ProfileByName(bench)
-	if !ok {
-		return Result{}, fmt.Errorf("benchfmt: unknown benchmark %q", bench)
-	}
-	cfg, err := SchemeConfig(width, scheme)
-	if err != nil {
-		return Result{}, err
-	}
-
-	run := func() *uarch.Stats {
-		return uarch.New(cfg, trace.NewSynthetic(p, insts)).Run()
-	}
-	st := run() // warmup: page in code paths, steady-state the allocator
-
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < repeats; i++ {
-		st = run()
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-
-	perOp := wall / time.Duration(repeats)
-	if perOp <= 0 {
-		perOp = 1 // clamp: a sub-nanosecond run would divide by zero below
-	}
-	r := Result{
-		Workload:    bench,
-		Width:       width,
-		Scheme:      scheme,
-		IPC:         st.IPC(),
-		SimInsts:    st.Committed,
-		SimCycles:   st.Cycles,
-		WallNs:      perOp.Nanoseconds(),
-		InstsPerSec: float64(st.Committed) / perOp.Seconds(),
-		AllocsPerOp: (m1.Mallocs - m0.Mallocs) / uint64(repeats),
-		BytesPerOp:  (m1.TotalAlloc - m0.TotalAlloc) / uint64(repeats),
-	}
-	if st.Cycles > 0 {
-		r.NsPerCycle = float64(perOp.Nanoseconds()) / float64(st.Cycles)
-	}
-	return r, nil
-}
-
-func summarize(rs []Result) Summary {
-	var s Summary
-	if len(rs) == 0 {
-		return s
-	}
-	var logIPS, logNPC, allocs, bytes float64
-	for _, r := range rs {
-		logIPS += math.Log(r.InstsPerSec)
-		logNPC += math.Log(r.NsPerCycle)
-		allocs += float64(r.AllocsPerOp)
-		bytes += float64(r.BytesPerOp)
-	}
-	n := float64(len(rs))
-	s.InstsPerSecGeomean = math.Exp(logIPS / n)
-	s.NsPerCycleGeomean = math.Exp(logNPC / n)
-	s.AllocsPerOpMean = allocs / n
-	s.BytesPerOpMean = bytes / n
-	return s
-}
-
-// ApplyBaseline attaches a previous report's summary as the baseline
-// and computes the before/after deltas. It refuses baselines measured
-// on a different matrix, since the numbers would not be comparable.
-func (r *Report) ApplyBaseline(prev *Report) error {
-	if !matrixEqual(r.Matrix, prev.Matrix) {
-		return fmt.Errorf("benchfmt: baseline BENCH_%d measured a different matrix", prev.BenchID)
-	}
-	base := prev.Summary
-	r.Baseline = &base
-	r.Delta = &Delta{
-		BaselineBenchID:        prev.BenchID,
-		InstsPerSecSpeedup:     ratio(r.Summary.InstsPerSecGeomean, base.InstsPerSecGeomean),
-		NsPerCycleRatio:        ratio(r.Summary.NsPerCycleGeomean, base.NsPerCycleGeomean),
-		AllocsPerOpImprovement: ratio(base.AllocsPerOpMean, r.Summary.AllocsPerOpMean),
-		BytesPerOpImprovement:  ratio(base.BytesPerOpMean, r.Summary.BytesPerOpMean),
-	}
-	return nil
-}
-
-func ratio(num, den float64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return num / den
-}
-
-func matrixEqual(a, b Matrix) bool {
-	if a.InstsPerRun != b.InstsPerRun || len(a.Benchmarks) != len(b.Benchmarks) ||
-		len(a.Widths) != len(b.Widths) || len(a.Schemes) != len(b.Schemes) {
-		return false
-	}
-	for i := range a.Benchmarks {
-		if a.Benchmarks[i] != b.Benchmarks[i] {
-			return false
-		}
-	}
-	for i := range a.Widths {
-		if a.Widths[i] != b.Widths[i] {
-			return false
-		}
-	}
-	for i := range a.Schemes {
-		if a.Schemes[i] != b.Schemes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Validate checks the structural invariants every committed
-// BENCH_<n>.json must satisfy: current schema, a complete matrix, and
-// physically sensible measurements (nonzero throughput, cycle cost and
-// instruction counts) in every cell. CI's bench-smoke job and the
-// benchfmt tests both run committed reports through it.
-func Validate(r *Report) error {
-	if r.SchemaVersion != SchemaVersion {
-		return fmt.Errorf("benchfmt: schema_version %d, want %d", r.SchemaVersion, SchemaVersion)
-	}
-	want := len(r.Matrix.Benchmarks) * len(r.Matrix.Widths) * len(r.Matrix.Schemes)
-	if want == 0 || len(r.Results) != want {
-		return fmt.Errorf("benchfmt: %d results for a %d-cell matrix", len(r.Results), want)
-	}
-	for _, res := range r.Results {
-		id := fmt.Sprintf("%s/%dw/%s", res.Workload, res.Width, res.Scheme)
-		switch {
-		case res.Workload == "" || res.Width <= 0 || res.Scheme == "":
-			return fmt.Errorf("benchfmt: %s: incomplete cell identity", id)
-		case res.InstsPerSec <= 0:
-			return fmt.Errorf("benchfmt: %s: insts_per_sec must be positive", id)
-		case res.NsPerCycle <= 0:
-			return fmt.Errorf("benchfmt: %s: ns_per_cycle must be positive", id)
-		case res.SimInsts == 0 || res.SimCycles == 0:
-			return fmt.Errorf("benchfmt: %s: empty simulation", id)
-		case res.IPC <= 0:
-			return fmt.Errorf("benchfmt: %s: ipc must be positive", id)
-		}
-	}
-	if r.Summary.InstsPerSecGeomean <= 0 || r.Summary.NsPerCycleGeomean <= 0 {
-		return fmt.Errorf("benchfmt: summary geomeans must be positive")
-	}
-	if (r.Baseline == nil) != (r.Delta == nil) {
-		return fmt.Errorf("benchfmt: baseline and delta must be present together")
-	}
-	return nil
-}
-
-// Write serialises a report as indented JSON (the committed
-// BENCH_<n>.json form), validating it first.
-func Write(w io.Writer, r *Report) error {
-	if err := Validate(r); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// Read parses and validates a report.
-func Read(rd io.Reader) (*Report, error) {
-	var r Report
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("benchfmt: %w", err)
-	}
-	if err := Validate(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

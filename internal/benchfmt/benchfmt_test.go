@@ -1,211 +1,31 @@
 package benchfmt
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
-	"regexp"
-	"sort"
-	"strings"
 	"testing"
+
+	"halfprice/internal/uarch"
 )
 
-// jsonFieldNames recursively collects every json tag name reachable
-// from t — the full flat vocabulary of a BENCH_<n>.json document.
-func jsonFieldNames(t reflect.Type, into map[string]bool) {
-	for t.Kind() == reflect.Ptr || t.Kind() == reflect.Slice {
-		t = t.Elem()
-	}
-	if t.Kind() != reflect.Struct {
-		return
-	}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		tag := strings.Split(f.Tag.Get("json"), ",")[0]
-		if tag == "" || tag == "-" {
-			continue
-		}
-		into[tag] = true
-		jsonFieldNames(f.Type, into)
-	}
-}
-
-// docSchemaTables locates every markdown schema table in the file — a
-// header row whose first cell is "Field" — and returns the backticked
-// names from the first column of its rows.
-func docSchemaTables(t *testing.T, path string) []string {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	nameRe := regexp.MustCompile("^\\|\\s*`([a-z0-9_]+)`\\s*\\|")
-	var names []string
-	inTable := false
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "| Field |"):
-			inTable = true
-		case !strings.HasPrefix(line, "|"):
-			inTable = false
-		case inTable:
-			if m := nameRe.FindStringSubmatch(line); m != nil {
-				names = append(names, m[1])
+func TestSchemeConfig(t *testing.T) {
+	for _, width := range []int{4, 8} {
+		for _, scheme := range Schemes() {
+			cfg, err := SchemeConfig(width, scheme)
+			if err != nil {
+				t.Fatalf("%d-wide %s: %v", width, scheme, err)
+			}
+			if cfg.Width != width {
+				t.Errorf("%d-wide %s: Width = %d", width, scheme, cfg.Width)
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	cfg, _ := SchemeConfig(4, "halfprice")
+	if cfg.Wakeup != uarch.WakeupSequential || cfg.Regfile != uarch.RFSequential {
+		t.Errorf("halfprice: wakeup %v, regfile %v", cfg.Wakeup, cfg.Regfile)
 	}
-	return names
-}
-
-// TestDocSchemaCatalog keeps the BENCH_<n>.json schema tables in
-// README.md and PERF.md honest: each must document exactly the JSON
-// fields the Report type emits, no more, no fewer. Renaming a field or
-// adding one without touching the docs fails here.
-func TestDocSchemaCatalog(t *testing.T) {
-	fields := map[string]bool{}
-	jsonFieldNames(reflect.TypeOf(Report{}), fields)
-	var want []string
-	for name := range fields {
-		want = append(want, name)
+	if _, err := SchemeConfig(6, "base"); err == nil {
+		t.Error("width 6 accepted")
 	}
-	sort.Strings(want)
-
-	for _, doc := range []string{"README.md", "PERF.md"} {
-		got := docSchemaTables(t, filepath.Join("..", "..", doc))
-		if len(got) == 0 {
-			t.Errorf("%s: no schema table found (header row \"| Field |...\")", doc)
-			continue
-		}
-		sort.Strings(got)
-		if strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Errorf("%s schema table lists:\n  [%s]\nReport emits:\n  [%s]",
-				doc, strings.Join(got, ", "), strings.Join(want, ", "))
-		}
+	if _, err := SchemeConfig(4, "warp"); err == nil {
+		t.Error("unknown scheme accepted")
 	}
-}
-
-// TestCommittedReportsValidate runs every BENCH_<n>.json committed at
-// the repo root through the same Read path CI uses: current schema,
-// complete matrix, sensible measurements.
-func TestCommittedReportsValidate(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no committed BENCH_*.json found at the repo root")
-	}
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Read(f)
-		f.Close()
-		if err != nil {
-			t.Errorf("%s: %v", filepath.Base(path), err)
-			continue
-		}
-		if r.BenchID <= 0 {
-			t.Errorf("%s: bench_id %d, want the <n> of the filename", filepath.Base(path), r.BenchID)
-		}
-	}
-}
-
-// TestRoundTrip pins Write/Read as inverses and Read's rejection of
-// unknown fields.
-func TestRoundTrip(t *testing.T) {
-	rep, err := Measure(Matrix{
-		InstsPerRun: 2000,
-		Repeats:     1,
-		Benchmarks:  []string{"gzip"},
-		Widths:      []int{4},
-		Schemes:     []string{"base"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.BenchID = 1
-	var buf bytes.Buffer
-	if err := Write(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, back) {
-		t.Fatal("report did not survive a Write/Read round trip")
-	}
-	if _, err := Read(strings.NewReader(`{"schema_version":1,"surprise":true}`)); err == nil {
-		t.Fatal("Read accepted an unknown field")
-	}
-}
-
-// TestApplyBaselineRefusesMismatchedMatrix pins the comparability rule:
-// deltas only exist between reports of the same matrix.
-func TestApplyBaselineRefusesMismatchedMatrix(t *testing.T) {
-	m := Matrix{InstsPerRun: 2000, Repeats: 1, Benchmarks: []string{"gzip"}, Widths: []int{4}, Schemes: []string{"base"}}
-	a, err := Measure(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := m
-	m2.Schemes = []string{"halfprice"}
-	b, err := Measure(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ApplyBaseline(b); err == nil {
-		t.Fatal("ApplyBaseline accepted a baseline with a different matrix")
-	}
-	c, err := Measure(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ApplyBaseline(a); err != nil {
-		t.Fatal(err)
-	}
-	if c.Delta == nil || c.Delta.AllocsPerOpImprovement <= 0 {
-		t.Fatalf("delta not computed: %+v", c.Delta)
-	}
-}
-
-// ExampleMeasure runs the smallest possible matrix — the shape CI's
-// bench-smoke job uses — and shows the report's invariants rather than
-// machine-dependent numbers.
-func ExampleMeasure() {
-	rep, err := Measure(Matrix{
-		InstsPerRun: 2000,
-		Repeats:     1,
-		Benchmarks:  []string{"gzip"},
-		Widths:      []int{4},
-		Schemes:     []string{"base", "halfprice"},
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("schema:", rep.SchemaVersion)
-	fmt.Println("cells:", len(rep.Results))
-	for _, r := range rep.Results {
-		fmt.Printf("%s/%dw/%s simulated=%t timed=%t\n",
-			r.Workload, r.Width, r.Scheme, r.SimInsts > 0, r.InstsPerSec > 0)
-	}
-	fmt.Println("valid:", Validate(rep) == nil)
-	// Output:
-	// schema: 1
-	// cells: 2
-	// gzip/4w/base simulated=true timed=true
-	// gzip/4w/halfprice simulated=true timed=true
-	// valid: true
 }

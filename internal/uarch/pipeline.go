@@ -295,54 +295,67 @@ func (s *Simulator) predictOperands(e *fqEntry) {
 // outcome, marks mispredictions (which stall fetch until resolution), and
 // reports whether the fetch bundle ends at this instruction.
 func (s *Simulator) predictBranch(e *fqEntry) bool {
-	in := e.d.Inst
-	pc := e.d.PC
+	op := e.d.Inst.Op
+	if !op.IsBranch() {
+		return false
+	}
+	miss := runBranchPredictors(s.bp, &e.d)
+	cond := op.IsCondBranch()
+	if cond {
+		s.st.CondBranches++
+	}
+	if miss && !s.cfg.PerfectBranchPred {
+		s.st.BranchMispredicts++
+		e.mispred = true
+		s.redirectInFQ = true
+		return true
+	}
+	// Fetch stops at the first taken conditional branch and after every
+	// unconditional transfer.
+	return !cond || e.d.Taken
+}
+
+// runBranchPredictors is the one predictor access sequence for a control
+// transfer (d.Inst.Op.IsBranch), shared by the pipeline's fetch stage and
+// the sampled run's functional warmer so both leave the predictor in the
+// same state. It predicts against the oracle outcome, trains the
+// predictors and reports whether the next PC was mispredicted.
+func runBranchPredictors(bp *bpred.Predictor, d *trace.DynInst) (mispredict bool) {
+	in := d.Inst
 	switch {
 	case in.Op.IsCondBranch():
-		pred := s.bp.PredictCond(pc)
-		s.bp.UpdateCond(pc, e.d.Taken)
-		s.st.CondBranches++
-		if pred != e.d.Taken && !s.cfg.PerfectBranchPred {
-			s.st.BranchMispredicts++
-			e.mispred = true
-			s.redirectInFQ = true
-			return true
-		}
-		return e.d.Taken // fetch stops at the first taken branch
+		taken := bp.PredictCond(d.PC)
+		bp.UpdateCond(d.PC, d.Taken)
+		return taken != d.Taken
 	case in.Op == isa.OpBR:
 		// Direct target, computed in decode: never mispredicted.
 		if dst, ok := in.Dest(); ok && dst == isa.RegRA {
-			s.bp.PushRAS(pc + isa.InstBytes)
+			bp.PushRAS(d.PC + isa.InstBytes)
 		}
-		return true
-	case in.Op == isa.OpJMP:
-		isCall := false
-		if dst, ok := in.Dest(); ok && dst == isa.RegRA {
-			isCall = true
-		}
-		isRet := !isCall && in.Ra == isa.RegRA
-		var predicted uint64
-		var havePred bool
-		if isRet {
-			predicted, havePred = s.bp.PopRAS()
-		} else {
-			predicted, havePred = s.bp.PredictIndirect(pc)
-		}
-		correct := havePred && predicted == e.d.NextPC
-		if !isRet {
-			s.bp.UpdateIndirect(pc, e.d.NextPC, correct)
-		}
-		if isCall {
-			s.bp.PushRAS(pc + isa.InstBytes)
-		}
-		if !correct && !s.cfg.PerfectBranchPred {
-			s.st.BranchMispredicts++
-			e.mispred = true
-			s.redirectInFQ = true
-		}
-		return true
+		return false
 	}
-	return false
+	// OpJMP: a return pops the RAS, anything else asks the indirect
+	// predictor; a call pushes its return address.
+	isCall := false
+	if dst, ok := in.Dest(); ok && dst == isa.RegRA {
+		isCall = true
+	}
+	isRet := !isCall && in.Ra == isa.RegRA
+	var predicted uint64
+	var havePred bool
+	if isRet {
+		predicted, havePred = bp.PopRAS()
+	} else {
+		predicted, havePred = bp.PredictIndirect(d.PC)
+	}
+	correct := havePred && predicted == d.NextPC
+	if !isRet {
+		bp.UpdateIndirect(d.PC, d.NextPC, correct)
+	}
+	if isCall {
+		bp.PushRAS(d.PC + isa.InstBytes)
+	}
+	return !correct
 }
 
 // ---- dispatch ----

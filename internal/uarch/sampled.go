@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"halfprice/internal/bpred"
-	"halfprice/internal/isa"
 	"halfprice/internal/mem"
 	"halfprice/internal/opred"
 	"halfprice/internal/trace"
@@ -127,9 +126,10 @@ func (c *countingStream) Next() (trace.DynInst, bool) {
 // funcWarmer applies an instruction's architectural side effects to the
 // long-lived microarchitectural state — instruction and data caches,
 // branch direction/indirect/RAS predictors — without charging cycles or
-// touching statistics. It mirrors the pipeline's fetch/predictBranch/
-// execute/commit access sequence so a fast-forwarded stretch leaves the
-// same predictor and cache contents a detailed run would have.
+// touching statistics. It mirrors the pipeline's fetch/execute/commit
+// access sequence, and calls the same runBranchPredictors as the fetch
+// stage, so a fast-forwarded stretch leaves the same predictor and cache
+// contents a detailed run would have.
 type funcWarmer struct {
 	hier     *mem.Hierarchy
 	bp       *bpred.Predictor
@@ -147,39 +147,12 @@ func (w *funcWarmer) observe(d trace.DynInst) (loadLat int, mispredict bool) {
 		w.hier.FetchLatency(d.PC)
 		w.lastLine = line
 	}
-	in := d.Inst
-	switch {
-	case in.Op.IsCondBranch():
-		taken := w.bp.PredictCond(d.PC)
-		mispredict = taken != d.Taken
-		w.bp.UpdateCond(d.PC, d.Taken)
-	case in.Op == isa.OpBR:
-		if dst, ok := in.Dest(); ok && dst == isa.RegRA {
-			w.bp.PushRAS(d.PC + isa.InstBytes)
-		}
-	case in.Op == isa.OpJMP:
-		isCall := false
-		if dst, ok := in.Dest(); ok && dst == isa.RegRA {
-			isCall = true
-		}
-		isRet := !isCall && in.Ra == isa.RegRA
-		var predicted uint64
-		var havePred bool
-		if isRet {
-			predicted, havePred = w.bp.PopRAS()
-		} else {
-			predicted, havePred = w.bp.PredictIndirect(d.PC)
-		}
-		correct := havePred && predicted == d.NextPC
-		if !isRet {
-			w.bp.UpdateIndirect(d.PC, d.NextPC, correct)
-		}
-		if isCall {
-			w.bp.PushRAS(d.PC + isa.InstBytes)
-		}
-	case in.Op.IsLoad():
+	switch op := d.Inst.Op; {
+	case op.IsBranch():
+		mispredict = runBranchPredictors(w.bp, &d) && op.IsCondBranch()
+	case op.IsLoad():
 		loadLat, _ = w.hier.LoadLatency(d.EffAddr)
-	case in.Op.IsStore():
+	case op.IsStore():
 		w.hier.StoreLatency(d.EffAddr)
 	}
 	return loadLat, mispredict

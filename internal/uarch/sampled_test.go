@@ -1,10 +1,15 @@
 package uarch
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"halfprice/internal/bpred"
+	"halfprice/internal/mem"
 	"halfprice/internal/trace"
+	"halfprice/internal/vm"
+	"halfprice/internal/workloads"
 )
 
 func TestMustValidateWindowSplit(t *testing.T) {
@@ -162,5 +167,51 @@ func TestRunSampledDeterministic(t *testing.T) {
 	b := RunSampled(Config4Wide(), trace.NewSynthetic(p, budget), ws, budget)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical sampled runs must produce identical Stats")
+	}
+}
+
+// TestWarmerPredictorParity pins the contract the sampled run's warm-up
+// depends on: draining a stream through funcWarmer leaves the branch
+// predictor bit-identical to a detailed Run of the same stream.
+func TestWarmerPredictorParity(t *testing.T) {
+	type stream struct {
+		name string
+		cfg  Config
+		open func() trace.Stream
+	}
+	var cases []stream
+	for _, bench := range []string{"gzip", "mcf", "crafty", "vortex"} {
+		p, _ := trace.ProfileByName(bench)
+		for _, cfg := range []Config{Config4Wide(), Config8Wide()} {
+			cases = append(cases, stream{
+				name: fmt.Sprintf("%s/%dw", bench, cfg.Width),
+				cfg:  cfg,
+				open: func() trace.Stream { return trace.NewSynthetic(p, 30000) },
+			})
+		}
+	}
+	for _, kernel := range []string{"libmix", "libsort", "gcc"} {
+		prog := workloads.MustProgram(kernel)
+		cases = append(cases, stream{
+			name: kernel,
+			cfg:  Config4Wide(),
+			open: func() trace.Stream { return trace.NewVMStream(vm.New(prog), 200000) },
+		})
+	}
+	for _, c := range cases {
+		sim := New(c.cfg, c.open())
+		sim.Run()
+		warm := &funcWarmer{
+			hier:     mem.NewHierarchy(c.cfg.Mem),
+			bp:       bpred.New(c.cfg.Bpred),
+			lineMask: ^uint64(c.cfg.Mem.IL1.LineSize - 1),
+		}
+		s := c.open()
+		for d, ok := s.Next(); ok; d, ok = s.Next() {
+			warm.observe(d)
+		}
+		if !reflect.DeepEqual(warm.bp, sim.Bpred()) {
+			t.Errorf("%s: warmed predictor differs from the detailed run's", c.name)
+		}
 	}
 }
